@@ -118,8 +118,7 @@ int main(int argc, char** argv) {
   std::printf("records: %zu (%zu sealed segments), queries: %zu\n", loaded,
               sealed_segments, caps.size());
 
-  JsonReport report("bench_cache");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("bench_cache", args);
   report.set_meta("records", kRecords);
   report.set_meta("shards", kShards);
   report.set_meta("sealed_segments", sealed_segments);

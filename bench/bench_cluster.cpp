@@ -73,13 +73,6 @@ struct Timer {
   }
 };
 
-double percentile(std::vector<double> sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_ms.size() - 1) + 0.5);
-  return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
-}
-
 struct LoadStats {
   std::vector<double> latencies_ms;  // sorted on finish()
   double wall_s = 0;
@@ -328,10 +321,9 @@ int main(int argc, char** argv) {
   std::printf("records: %zu across %u shards, %zu match the bench query\n",
               store.record_count(), store.shard_count(), expected.size());
 
-  JsonReport report("cluster");
+  JsonReport report("cluster", args);
   report.set_meta("records", store.record_count());
   report.set_meta("shards", kShards);
-  report.set_meta("smoke", args.smoke ? 1 : 0);
   report.set_meta("iters", kIters);
 
   // --- scaling sweep: same load against 1-node and 3-node fleets -----------

@@ -74,8 +74,7 @@ int main(int argc, char** argv) {
   const std::size_t kUploads = args.smoke ? 4 : 16;
   const int kStoreOps = args.smoke ? 60 : 400;
 
-  JsonReport report("bench_faults");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("bench_faults", args);
   report.set_meta("uploads", kUploads);
   report.set_meta("store_ops", kStoreOps);
 

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
   const Curve& curve = pairing.curve();
   const FqField& fq = pairing.fq();
   ChaChaRng rng("bench-msm");
-  JsonReport report("bench_msm");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("bench_msm", args);
 
   print_header("Scalar-multiplication engine: naive vs windowed vs precomp",
                "not in the paper; measures the PR's MSM layer. The paper's "

@@ -33,12 +33,10 @@ int main(int argc, char** argv) {
                "multi-pairing of n+3 slots, served scalar or SIMD with "
                "byte-identical GT output");
 
-  JsonReport report("bench_pairing");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("bench_pairing", args);
   report.set_meta("dim", kDim);
   report.set_meta("records", kRecords);
   report.set_meta("simd_detected", simd_level_name(simd_level_detected()));
-  report.set_meta("simd_effective", simd_level_name(simd_level()));
 
   const AffinePoint p = curve.random_point(rng);
   const AffinePoint q = curve.random_point(rng);

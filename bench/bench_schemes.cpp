@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
   std::printf("records: %zu, queries: %zu, threads: %zu\n\n", kRecords,
               kQueries, kThreads);
 
-  JsonReport report("bench_schemes");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("bench_schemes", args);
   report.set_meta("records", kRecords);
   report.set_meta("queries", kQueries);
   report.set_meta("threads", kThreads);

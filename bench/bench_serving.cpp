@@ -59,13 +59,6 @@ struct Timer {
   }
 };
 
-double percentile(std::vector<double> sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_ms.size() - 1) + 0.5);
-  return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
-}
-
 struct LoadStats {
   std::vector<double> latencies_ms;  // sorted on finish()
   double wall_s = 0;
@@ -265,9 +258,8 @@ int main(int argc, char** argv) {
   std::printf("records: %zu (%zu sealed segments), capabilities: %zu\n",
               loaded, server.segment_table().size(), caps.size());
 
-  JsonReport report("serving");
+  JsonReport report("serving", args);
   report.set_meta("records", loaded);
-  report.set_meta("smoke", args.smoke ? 1 : 0);
   report.set_meta("hot_iters", kHotIters);
 
   // --- closed-loop sweep: cold then hot per connection count ---------------

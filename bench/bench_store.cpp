@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
   std::printf("records: %zu, shards: %u, payload: %.1f KiB\n", kRecords,
               kShards, static_cast<double>(payload_bytes) / 1024.0);
 
-  JsonReport report("bench_store");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("bench_store", args);
   report.set_meta("records", kRecords);
   report.set_meta("shards", kShards);
   report.set_meta("payload_bytes", payload_bytes);

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "core/apks.h"
 #include "data/nursery.h"
 #include "data/workload.h"
@@ -72,6 +73,15 @@ inline std::vector<std::size_t> paper_n_values(std::size_t max_k) {
   return out;
 }
 
+// Nearest-rank percentile (p in [0, 1]) of an ascending sample; 0 when
+// the sample is empty.
+inline double percentile(const std::vector<double>& sorted_ms, double p) {
+  if (sorted_ms.empty()) return 0;
+  const auto idx = static_cast<std::size_t>(
+      p * static_cast<double>(sorted_ms.size() - 1) + 0.5);
+  return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
+}
+
 // Command-line switches shared by the bench binaries:
 //   --smoke        shrink parameter sweeps + iteration budgets so the binary
 //                  finishes in seconds (CI gate, not a measurement)
@@ -122,10 +132,19 @@ struct JsonValue {
 
 // Machine-readable bench output: one object with ordered meta fields and an
 // ordered list of flat rows. Numbers render with %.9g, which round-trips
-// timings and every integer the benches produce.
+// timings and every integer the benches produce. The meta opens with the
+// run's provenance — build type, sanitizer, effective SIMD engine, smoke
+// flag — so a committed BENCH_*.json says what kind of run made it.
 class JsonReport {
  public:
-  explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
+  JsonReport(std::string bench, const BenchArgs& args)
+      : bench_(std::move(bench)) {
+    set_meta("build_type", APKS_BUILD_TYPE);
+    set_meta("sanitize", APKS_SANITIZE_NAME[0] != '\0' ? APKS_SANITIZE_NAME
+                                                        : "none");
+    set_meta("simd_effective", simd_level_name(simd_level()));
+    set_meta("smoke", args.smoke ? 1 : 0);
+  }
 
   void set_meta(const std::string& key, JsonValue value) {
     meta_.emplace_back(key, std::move(value));

@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv, "BENCH_fig8a.json");
   const Pairing pairing(default_type_a_params());
   ChaChaRng rng("fig8a");
-  JsonReport report("fig8a_setup");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("fig8a_setup", args);
 
   print_header("Fig. 8(a): Setup time vs n",
                "APKS ~40s at n=46 (O(n^2) exps); MRQED ~4.6s (O(n) exps); "

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   const Pairing pairing(default_type_a_params());
   ChaChaRng rng("fig8b");
   const auto rows = nursery_rows();
-  JsonReport report("fig8b_encrypt");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("fig8b_encrypt", args);
 
   print_header("Fig. 8(b): Encrypted index generation time vs n",
                "APKS ~15s at n=46, O(n^2), same time for equal n=m'*d; "

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv, "BENCH_fig8c.json");
   const Pairing pairing(default_type_a_params());
   ChaChaRng rng("fig8c");
-  JsonReport report("fig8c_capability");
-  report.set_meta("smoke", args.smoke ? 1 : 0);
+  JsonReport report("fig8c_capability", args);
 
   print_header(
       "Fig. 8(c): Capability generation & delegation vs n",

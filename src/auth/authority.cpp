@@ -32,11 +32,13 @@ SignedCapability deserialize_signed_capability(
   SignedCapability cap;
   cap.cap = deserialize_capability(pairing, r.bytes());
   cap.issuer = r.str();
-  cap.sig.u = read_point(pairing.curve(), r);
-  cap.sig.v = read_point(pairing.curve(), r);
-  if (!r.done()) {
-    throw std::invalid_argument("signed capability: trailing bytes");
-  }
+  read_elements(pairing.curve(), [&](ElementReader& in) {
+    in.point(r, cap.sig.u);
+    in.point(r, cap.sig.v);
+    if (!r.done()) {
+      throw std::invalid_argument("signed capability: trailing bytes");
+    }
+  });
   return cap;
 }
 

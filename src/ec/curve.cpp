@@ -1,5 +1,7 @@
 #include "ec/curve.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "common/sha256.h"
@@ -8,7 +10,10 @@
 namespace apks {
 
 Curve::Curve(const TypeAParams& params)
-    : params_(params), fp_(params.p), fq_(params.q) {
+    : params_(params),
+      fp_(params.p),
+      fq_(params.q),
+      lanes_(make_fp_lane_engine(fp_)) {
   gen_.x = fp_.from_int(params.gx);
   gen_.y = fp_.from_int(params.gy);
   gen_.inf = false;
@@ -320,23 +325,83 @@ void Curve::serialize(const AffinePoint& pt,
 
 AffinePoint Curve::deserialize(
     std::span<const std::uint8_t, kCompressedSize> in) const {
-  if (in[0] == 0) return AffinePoint::infinity();
-  if (in[0] != 2 && in[0] != 3) {
-    throw std::invalid_argument("Curve::deserialize: bad tag byte");
+  AffinePoint out;
+  const CompressedElement el{in.data(), &out, nullptr};
+  decode_batch({&el, 1});
+  return out;
+}
+
+void Curve::decode_batch(std::span<const CompressedElement> elems) const {
+  for (std::size_t i0 = 0; i0 < elems.size(); i0 += kMaxLaneWidth) {
+    const std::size_t n = std::min(kMaxLaneWidth, elems.size() - i0);
+    const CompressedElement* chunk = elems.data() + i0;
+    // Parse every element of the chunk and gather the radicands of those
+    // that need a root; error[l] holds lane l's failure, if any.
+    std::array<const char*, kMaxLaneWidth> error{};
+    std::array<Fp, kMaxLaneWidth> first{};
+    std::array<Fp, kMaxLaneWidth> radicand{};
+    std::array<std::size_t, kMaxLaneWidth> lane{};
+    std::size_t k = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+      const CompressedElement& el = chunk[l];
+      const bool is_point = el.point != nullptr;
+      const std::uint8_t tag = el.bytes[0];
+      const std::span<const std::uint8_t> body(el.bytes + 1, 64);
+      if (is_point && tag == 0) {
+        if (std::any_of(body.begin(), body.end(),
+                        [](std::uint8_t b) { return b != 0; })) {
+          error[l] = "Curve::deserialize: non-canonical infinity";
+        }
+        continue;
+      }
+      if (tag != 2 && tag != 3) {
+        error[l] = is_point ? "Curve::deserialize: bad tag byte"
+                            : "gt_deserialize: bad tag";
+        continue;
+      }
+      const FpInt plain = FpInt::from_bytes(body);
+      if (plain >= fp_.modulus()) {
+        error[l] = is_point ? "Curve::deserialize: x out of range"
+                            : "gt_deserialize: value out of range";
+        continue;
+      }
+      first[l] = fp_.from_int(plain);
+      // Points: y^2 = x^3 + x. G_T is unitary: a^2 + b^2 = 1.
+      radicand[k] = is_point ? rhs(first[l])
+                             : fp_.sub(fp_.one(), fp_.sqr(first[l]));
+      lane[k++] = l;
+    }
+    std::array<Fp, kMaxLaneWidth> root{};
+    std::array<bool, kMaxLaneWidth> ok{};
+    batch_sqrt(*lanes_, fp_, {radicand.data(), k}, {root.data(), k},
+               {ok.data(), k});
+    for (std::size_t j = 0; j < k; ++j) {
+      if (ok[j]) continue;
+      error[lane[j]] = chunk[lane[j]].point != nullptr
+                           ? "Curve::deserialize: x not on curve"
+                           : "gt_deserialize: not a unitary element";
+    }
+    for (std::size_t l = 0; l < n; ++l) {
+      if (error[l] != nullptr) throw std::invalid_argument(error[l]);
+    }
+    for (std::size_t l = 0; l < n; ++l) {
+      if (chunk[l].point != nullptr && chunk[l].bytes[0] == 0) {
+        *chunk[l].point = AffinePoint::infinity();
+      }
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      const CompressedElement& el = chunk[lane[j]];
+      // The tag picks the root by the parity of its plain representative.
+      Fp r = root[j];
+      const std::uint64_t want_odd = el.bytes[0] == 3 ? 1 : 0;
+      if ((fp_.to_int(r).w[0] & 1) != want_odd) r = fp_.neg(r);
+      if (el.point != nullptr) {
+        *el.point = {first[lane[j]], r, false};
+      } else {
+        *el.gt = {first[lane[j]], r};
+      }
+    }
   }
-  const FpInt x_plain =
-      FpInt::from_bytes(std::span<const std::uint8_t>(in.data() + 1, 64));
-  if (x_plain >= fp_.modulus()) {
-    throw std::invalid_argument("Curve::deserialize: x out of range");
-  }
-  const Fp x = fp_.from_int(x_plain);
-  Fp y;
-  if (!fp_.sqrt(rhs(x), y)) {
-    throw std::invalid_argument("Curve::deserialize: x not on curve");
-  }
-  const bool want_odd = (in[0] == 3);
-  if ((fp_.to_int(y).w[0] & 1) != (want_odd ? 1u : 0u)) y = fp_.neg(y);
-  return {x, y, false};
 }
 
 }  // namespace apks

@@ -6,12 +6,15 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "ec/params.h"
+#include "math/fp_lanes.h"
 
 namespace apks {
 
@@ -30,6 +33,16 @@ struct JacPoint {
   Fp Z{};  // Z == 0 encodes the point at infinity
 
   [[nodiscard]] bool is_infinity() const noexcept { return Z.is_zero(); }
+};
+
+// One 65-byte compressed element queued for Curve::decode_batch: a curve
+// point (tag 0 for infinity, else 2/3 + x; the root is y) or a G_T value
+// (tag 2/3 + a; the root is the unitary b). Exactly one of `point` and
+// `gt` names the destination.
+struct CompressedElement {
+  const std::uint8_t* bytes = nullptr;  // Curve::kCompressedSize bytes
+  AffinePoint* point = nullptr;
+  Fp2El* gt = nullptr;
 };
 
 // Operation counters for cost-model verification: the paper states its
@@ -149,12 +162,21 @@ class Curve {
   [[nodiscard]] AffinePoint hash_to_point(std::string_view msg) const;
 
   // 65-byte compressed encoding: tag byte (0 infinity, 2 even-y, 3 odd-y)
-  // followed by the 64-byte big-endian x coordinate.
+  // followed by the 64-byte big-endian x coordinate. Infinity has exactly
+  // one encoding, all zero bytes. deserialize is decode_batch with n = 1.
   static constexpr std::size_t kCompressedSize = 65;
   void serialize(const AffinePoint& pt,
                  std::span<std::uint8_t, kCompressedSize> out) const;
   [[nodiscard]] AffinePoint deserialize(
       std::span<const std::uint8_t, kCompressedSize> in) const;
+
+  // Decodes compressed points and G_T values together: the square roots
+  // of up to kMaxLaneWidth elements share one lane exponentiation
+  // (batch_sqrt on the process's lane engine). Outputs are bit-identical
+  // to decoding one element at a time. Throws std::invalid_argument with
+  // the message a lone decode gives for the first malformed element in
+  // order; destinations are then unspecified.
+  void decode_batch(std::span<const CompressedElement> elems) const;
 
  private:
   [[nodiscard]] Fp rhs(const Fp& x) const;  // x^3 + x
@@ -167,6 +189,7 @@ class Curve {
   FpField fp_;
   FqField fq_;
   AffinePoint gen_;
+  std::unique_ptr<FpLaneEngine> lanes_;  // runs decode_batch's roots
 
   // Lazily built generator comb: base_table_[w][b-1] = (b * 2^{8w}) * g for
   // b in 1..255, w in 0..19 (160-bit scalars).

@@ -28,21 +28,9 @@ void write_point(const Curve& curve, const AffinePoint& pt, ByteWriter& w) {
 }
 
 AffinePoint read_point(const Curve& curve, ByteReader& r) {
-  const auto bytes = r.raw(Curve::kCompressedSize);
-  std::array<std::uint8_t, Curve::kCompressedSize> buf{};
-  std::copy(bytes.begin(), bytes.end(), buf.begin());
-  if (buf[0] == 0) {
-    // Curve::deserialize only inspects the tag for infinity; insist on the
-    // canonical all-zero encoding here so every group element has exactly
-    // one accepted byte representation (corrupt tags must not silently
-    // alias the identity).
-    for (std::size_t i = 1; i < buf.size(); ++i) {
-      if (buf[i] != 0) {
-        throw std::invalid_argument("read_point: non-canonical infinity");
-      }
-    }
-  }
-  return curve.deserialize(buf);
+  AffinePoint pt;
+  read_elements(curve, [&](ElementReader& in) { in.point(r, pt); });
+  return pt;
 }
 
 void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w) {
@@ -52,10 +40,9 @@ void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w) {
 }
 
 GtEl read_gt(const Pairing& e, ByteReader& r) {
-  const auto bytes = r.raw(Pairing::kGtCompressedSize);
-  std::array<std::uint8_t, Pairing::kGtCompressedSize> buf{};
-  std::copy(bytes.begin(), bytes.end(), buf.begin());
-  return e.gt_deserialize(buf);
+  GtEl v;
+  read_elements(e.curve(), [&](ElementReader& in) { in.gt(r, v); });
+  return v;
 }
 
 void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w) {
@@ -63,17 +50,34 @@ void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w) {
   for (const auto& pt : v) write_point(curve, pt, w);
 }
 
-GVec read_gvec(const Curve& curve, ByteReader& r) {
+void ElementReader::point(ByteReader& r, AffinePoint& out) {
+  queue({r.raw(Curve::kCompressedSize).data(), &out, nullptr});
+}
+
+void ElementReader::gt(ByteReader& r, GtEl& out) {
+  queue({r.raw(Pairing::kGtCompressedSize).data(), nullptr, &out});
+}
+
+void ElementReader::queue(const CompressedElement& el) {
+  if (n_ == queued_.size()) finish();
+  queued_[n_++] = el;
+}
+
+void ElementReader::gvec(ByteReader& r, GVec& out) {
   const std::uint32_t n = r.u32();
   // Validate the claimed count against the bytes actually present before
   // reserving (hostile length prefixes must not drive allocations).
   if (n > r.remaining() / Curve::kCompressedSize) {
     throw std::invalid_argument("read_gvec: length field exceeds payload");
   }
-  GVec v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(read_point(curve, r));
-  return v;
+  out.resize(n);
+  for (AffinePoint& pt : out) point(r, pt);
+}
+
+void ElementReader::finish() {
+  const std::size_t n = n_;
+  n_ = 0;
+  curve_->decode_batch({queued_.data(), n});
 }
 
 std::vector<std::uint8_t> serialize_ciphertext(const Pairing& e,
@@ -88,9 +92,11 @@ HpeCiphertext deserialize_ciphertext(const Pairing& e,
                                      std::span<const std::uint8_t> data) {
   ByteReader r(data);
   HpeCiphertext ct;
-  ct.c1 = read_gvec(e.curve(), r);
-  ct.c2 = read_gt(e, r);
-  if (!r.done()) throw std::invalid_argument("ciphertext: trailing bytes");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    in.gvec(r, ct.c1);
+    in.gt(r, ct.c2);
+    if (!r.done()) throw std::invalid_argument("ciphertext: trailing bytes");
+  });
   return ct;
 }
 
@@ -108,36 +114,36 @@ std::vector<std::uint8_t> serialize_key(const Pairing& e, const HpeKey& key) {
 HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
   ByteReader r(data);
   HpeKey key;
-  key.level = r.u32();
-  // Every honest key carries level+1 randomizer vectors, each at least one
-  // point: a level field the payload cannot possibly back is corrupt (and
-  // would otherwise only surface as an out-of-range index much later, at
-  // delegation time).
-  if (key.level >= r.remaining() / Curve::kCompressedSize) {
-    throw std::invalid_argument("key: level field exceeds payload");
-  }
-  key.dec = read_gvec(e.curve(), r);
-  const std::uint32_t nran = r.u32();
-  if (nran > r.remaining() / Curve::kCompressedSize) {
-    throw std::invalid_argument("key: randomizer count exceeds payload");
-  }
-  for (std::uint32_t i = 0; i < nran; ++i) {
-    key.ran.push_back(read_gvec(e.curve(), r));
-  }
-  if (key.ran.size() != key.level + 1) {
-    // Invariant of every issued key (gen_key and delegate both maintain
-    // it); enforcing it here turns a delayed delegation failure into a
-    // clean parse error.
-    throw std::invalid_argument("key: randomizer count != level + 1");
-  }
-  const std::uint32_t ndel = r.u32();
-  if (ndel > r.remaining() / Curve::kCompressedSize) {
-    throw std::invalid_argument("key: delegation count exceeds payload");
-  }
-  for (std::uint32_t i = 0; i < ndel; ++i) {
-    key.del.push_back(read_gvec(e.curve(), r));
-  }
-  if (!r.done()) throw std::invalid_argument("key: trailing bytes");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    key.level = r.u32();
+    // Every honest key carries level+1 randomizer vectors, each at least
+    // one point: a level field the payload cannot possibly back is corrupt
+    // (and would otherwise only surface as an out-of-range index much
+    // later, at delegation time).
+    if (key.level >= r.remaining() / Curve::kCompressedSize) {
+      throw std::invalid_argument("key: level field exceeds payload");
+    }
+    in.gvec(r, key.dec);
+    const std::uint32_t nran = r.u32();
+    if (nran > r.remaining() / Curve::kCompressedSize) {
+      throw std::invalid_argument("key: randomizer count exceeds payload");
+    }
+    key.ran.resize(nran);
+    for (GVec& v : key.ran) in.gvec(r, v);
+    if (key.ran.size() != key.level + 1) {
+      // Invariant of every issued key (gen_key and delegate both maintain
+      // it); enforcing it here turns a delayed delegation failure into a
+      // clean parse error.
+      throw std::invalid_argument("key: randomizer count != level + 1");
+    }
+    const std::uint32_t ndel = r.u32();
+    if (ndel > r.remaining() / Curve::kCompressedSize) {
+      throw std::invalid_argument("key: delegation count exceeds payload");
+    }
+    key.del.resize(ndel);
+    for (GVec& v : key.del) in.gvec(r, v);
+    if (!r.done()) throw std::invalid_argument("key: trailing bytes");
+  });
   return key;
 }
 
@@ -154,15 +160,16 @@ HpePublicKey deserialize_public_key(const Pairing& e,
                                     std::span<const std::uint8_t> data) {
   ByteReader r(data);
   HpePublicKey pk;
-  pk.n = r.u32();
-  const std::uint32_t rows = r.u32();
-  if (rows > r.remaining() / Curve::kCompressedSize) {
-    throw std::invalid_argument("public key: row count exceeds payload");
-  }
-  for (std::uint32_t i = 0; i < rows; ++i) {
-    pk.bhat.push_back(read_gvec(e.curve(), r));
-  }
-  if (!r.done()) throw std::invalid_argument("public key: trailing bytes");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    pk.n = r.u32();
+    const std::uint32_t rows = r.u32();
+    if (rows > r.remaining() / Curve::kCompressedSize) {
+      throw std::invalid_argument("public key: row count exceeds payload");
+    }
+    pk.bhat.resize(rows);
+    for (GVec& v : pk.bhat) in.gvec(r, v);
+    if (!r.done()) throw std::invalid_argument("public key: trailing bytes");
+  });
   return pk;
 }
 
@@ -195,14 +202,15 @@ HpeMasterKey deserialize_master_key(const Pairing& e,
       msk.x.at(i, j) = read_fq(e.fq(), r);
     }
   }
-  const std::uint32_t rows = r.u32();
-  if (rows > r.remaining() / Curve::kCompressedSize) {
-    throw std::invalid_argument("master key: row count exceeds payload");
-  }
-  for (std::uint32_t i = 0; i < rows; ++i) {
-    msk.bstar.push_back(read_gvec(e.curve(), r));
-  }
-  if (!r.done()) throw std::invalid_argument("master key: trailing bytes");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    const std::uint32_t rows = r.u32();
+    if (rows > r.remaining() / Curve::kCompressedSize) {
+      throw std::invalid_argument("master key: row count exceeds payload");
+    }
+    msk.bstar.resize(rows);
+    for (GVec& v : msk.bstar) in.gvec(r, v);
+    if (!r.done()) throw std::invalid_argument("master key: trailing bytes");
+  });
   return msk;
 }
 

@@ -6,6 +6,7 @@
 // explicit headers on top of the element payloads).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/bytes.h"
@@ -23,7 +24,47 @@ void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w);
 [[nodiscard]] GtEl read_gt(const Pairing& e, ByteReader& r);
 
 void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w);
-[[nodiscard]] GVec read_gvec(const Curve& curve, ByteReader& r);
+
+// Reads the compressed elements of one object off a ByteReader and decodes
+// them kMaxLaneWidth at a time (Curve::decode_batch): an index or a
+// capability pays one lane square-root pass per chunk instead of one
+// scalar root per element. A destination is written when its chunk is
+// decoded, so it must stay put until finish().
+class ElementReader {
+ public:
+  explicit ElementReader(const Curve& curve) : curve_(&curve) {}
+
+  void point(ByteReader& r, AffinePoint& out);
+  void gt(ByteReader& r, GtEl& out);
+  // u32 count, then that many points; resizes `out`.
+  void gvec(ByteReader& r, GVec& out);
+
+  // Decodes what is still queued.
+  void finish();
+
+ private:
+  void queue(const CompressedElement& el);
+
+  const Curve* curve_;
+  std::array<CompressedElement, kMaxLaneWidth> queued_{};
+  std::size_t n_ = 0;
+};
+
+// Runs walk(reader), which reads one whole object, then decodes its
+// elements. If walk throws, the elements it queued are decoded first, so
+// a malformed element before the structural fault decides the error, as
+// in a one-element-at-a-time read.
+template <class Walk>
+void read_elements(const Curve& curve, Walk&& walk) {
+  ElementReader in(curve);
+  try {
+    walk(in);
+  } catch (...) {
+    in.finish();
+    throw;
+  }
+  in.finish();
+}
 
 [[nodiscard]] std::vector<std::uint8_t> serialize_ciphertext(
     const Pairing& e, const HpeCiphertext& ct);

@@ -1,5 +1,8 @@
 #include "math/fp_lanes.h"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstring>
 
 namespace apks {
@@ -82,6 +85,49 @@ class ScalarLanes final : public FpLaneEngine {
 };
 
 }  // namespace
+
+void batch_sqrt(const FpLaneEngine& eng, const LaneField& field,
+                std::span<const LaneFp> a, std::span<LaneFp> out,
+                std::span<bool> ok) {
+  assert(out.size() == a.size() && ok.size() == a.size());
+  if (eng.level() == SimdLevel::kScalar) {
+    for (std::size_t i = 0; i < a.size(); ++i) ok[i] = field.sqrt(a[i], out[i]);
+    return;
+  }
+  const LaneFp& e = field.sqrt_exponent();
+  const std::size_t bits = e.bit_length();
+  const std::size_t w = eng.width();
+  for (std::size_t i0 = 0; i0 < a.size(); i0 += w) {
+    const std::size_t n = std::min(w, a.size() - i0);
+    // pow[k - 1] = a^k for k in 1..15; acc walks the exponent's nibbles
+    // from the top exactly as MontCtx::pow does.
+    FpLaneVec pow[15]{};
+    eng.load(pow[0], a.data() + i0, n);
+    for (std::size_t k = 1; k < 15; ++k) eng.mul(pow[k], pow[k - 1], pow[0]);
+    FpLaneVec acc{};
+    bool started = false;
+    for (std::size_t i = (bits + 3) / 4; i-- > 0;) {
+      std::size_t nib = 0;
+      for (std::size_t j = 0; j < 4; ++j) {
+        const std::size_t b = 4 * i + (3 - j);
+        nib = (nib << 1) | ((b < 64 * kLaneFpLimbs && e.bit(b)) ? 1u : 0u);
+      }
+      if (started) {
+        for (int s = 0; s < 4; ++s) eng.mul(acc, acc, acc);
+        if (nib != 0) eng.mul(acc, acc, pow[nib - 1]);
+      } else if (nib != 0) {
+        acc = pow[nib - 1];
+        started = true;
+      }
+    }
+    FpLaneVec sq{};
+    eng.mul(sq, acc, acc);
+    std::array<LaneFp, kMaxLaneWidth> back{};
+    eng.store(out.data() + i0, acc, n);
+    eng.store(back.data(), sq, n);
+    for (std::size_t l = 0; l < n; ++l) ok[i0 + l] = back[l] == a[i0 + l];
+  }
+}
 
 std::unique_ptr<FpLaneEngine> make_fp_lane_engine(const LaneField& field,
                                                   SimdLevel level) {

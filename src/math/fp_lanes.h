@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/cpu_features.h"
 #include "math/prime_field.h"
@@ -28,6 +29,7 @@
 namespace apks {
 
 inline constexpr std::size_t kLaneFpLimbs = 8;  // 512-bit F_p
+inline constexpr std::size_t kMaxLaneWidth = 8;  // widest engine's W
 using LaneFp = BigInt<kLaneFpLimbs>;
 using LaneField = PrimeField<kLaneFpLimbs>;
 
@@ -84,6 +86,18 @@ class FpLaneEngine {
 // Engine for the process-wide simd_level() (CPU detection + env override).
 [[nodiscard]] std::unique_ptr<FpLaneEngine> make_fp_lane_engine(
     const LaneField& field);
+
+// Square roots for p = 3 (mod 4): out[i] = a[i]^((p+1)/4), and ok[i] says
+// whether out[i]^2 == a[i] (false: a[i] is a non-residue and out[i] is
+// unspecified). The exponent is the same for every element, so W values
+// share one lane exponentiation — the fixed 4-bit window of MontCtx::pow —
+// with no lane divergence. The scalar engine falls back to
+// PrimeField::sqrt per value. Roots are bit-identical on every engine:
+// a^((p+1)/4) is one residue and every engine emits canonical residues.
+// a, out and ok have equal sizes.
+void batch_sqrt(const FpLaneEngine& eng, const LaneField& field,
+                std::span<const LaneFp> a, std::span<LaneFp> out,
+                std::span<bool> ok);
 
 namespace detail {
 // Per-arch factories; return null when the binary was built without the

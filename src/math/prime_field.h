@@ -133,6 +133,9 @@ class PrimeField {
     return -1;
   }
 
+  // The square-root exponent (p+1)/4, as a plain integer.
+  [[nodiscard]] const El& sqrt_exponent() const noexcept { return sqrt_exp_; }
+
   // Square root for p = 3 (mod 4): a^((p+1)/4), cached exponent. Returns
   // false if `a` is a non-residue.
   [[nodiscard]] bool sqrt(const El& a, El& out) const {

@@ -411,11 +411,13 @@ void NetServer::handle_auth(IoLoop& loop, const std::shared_ptr<Conn>& conn,
         SignedQuery sq;
         sq.query = query;
         sq.issuer = msg.issuer;
-        sq.sig.u = read_point(backend_->pairing().curve(), r);
-        sq.sig.v = read_point(backend_->pairing().curve(), r);
-        if (!r.done()) {
-          throw std::invalid_argument("signature trailing bytes");
-        }
+        read_elements(backend_->pairing().curve(), [&](ElementReader& in) {
+          in.point(r, sq.sig.u);
+          in.point(r, sq.sig.v);
+          if (!r.done()) {
+            throw std::invalid_argument("signature trailing bytes");
+          }
+        });
         if (!verifier_->verify(*backend_, sq)) {
           ack.status = WireStatus::kUnauthorized;
           ack.message = "authority signature rejected";

@@ -324,24 +324,10 @@ void Pairing::gt_serialize(const GtEl& a,
 
 GtEl Pairing::gt_deserialize(
     std::span<const std::uint8_t, kGtCompressedSize> in) const {
-  if (in[0] != 2 && in[0] != 3) {
-    throw std::invalid_argument("gt_deserialize: bad tag");
-  }
-  const FpField& fp = curve_.fp();
-  const FpInt a_plain =
-      FpInt::from_bytes(std::span<const std::uint8_t>(in.data() + 1, 64));
-  if (a_plain >= fp.modulus()) {
-    throw std::invalid_argument("gt_deserialize: value out of range");
-  }
-  const Fp a = fp.from_int(a_plain);
-  // Unitary: a^2 + b^2 = 1 => b = sqrt(1 - a^2).
-  Fp b;
-  if (!fp.sqrt(fp.sub(fp.one(), fp.sqr(a)), b)) {
-    throw std::invalid_argument("gt_deserialize: not a unitary element");
-  }
-  const bool want_odd = (in[0] == 3);
-  if ((fp.to_int(b).w[0] & 1) != (want_odd ? 1u : 0u)) b = fp.neg(b);
-  return {a, b};
+  GtEl out;
+  const CompressedElement el{in.data(), nullptr, &out};
+  curve_.decode_batch({&el, 1});
+  return out;
 }
 
 }  // namespace apks

@@ -120,6 +120,7 @@ class Pairing {
   }
 
   // 65-byte compressed GT encoding (unitary: a + sign-of-b).
+  // gt_deserialize is Curve::decode_batch with n = 1.
   static constexpr std::size_t kGtCompressedSize = 65;
   void gt_serialize(const GtEl& a,
                     std::span<std::uint8_t, kGtCompressedSize> out) const;

@@ -22,6 +22,7 @@
 #include "data/workload.h"
 #include "mrqed/mrqed_backend.h"
 #include "store/sharded_store.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -36,15 +37,7 @@ ShardedStoreOptions two_shards() {
 
 class BackendTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("apks-backend-") + info->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  TestDir dir_{"backend"};
 };
 
 // For the APKS family the backend's query_message must be byte-identical
@@ -343,7 +336,7 @@ TEST_F(BackendTest, StoreSchemeMismatchRefused) {
 
   const ApksBackend apks_backend(scheme);
   {
-    ShardedStore store(apks_backend, dir_, two_shards());
+    ShardedStore store(apks_backend, dir_.path(), two_shards());
     (void)store.append_any(
         "row",
         AnyIndex::own(SchemeKind::kApks,
@@ -353,7 +346,7 @@ TEST_F(BackendTest, StoreSchemeMismatchRefused) {
 
   const MrqedBackend mrqed_backend(mrqed);
   try {
-    ShardedStore reopened(mrqed_backend, dir_, two_shards());
+    ShardedStore reopened(mrqed_backend, dir_.path(), two_shards());
     FAIL() << "mrqed open of an apks store must throw";
   } catch (const std::invalid_argument& ex) {
     const std::string what = ex.what();
@@ -365,11 +358,11 @@ TEST_F(BackendTest, StoreSchemeMismatchRefused) {
   // basis; silently serving them as basic apks would mis-match).
   const ApksPlus plus(e, nursery_schema(1));
   const ApksPlusBackend plus_backend(plus);
-  EXPECT_THROW(ShardedStore(plus_backend, dir_, two_shards()),
+  EXPECT_THROW(ShardedStore(plus_backend, dir_.path(), two_shards()),
                std::invalid_argument);
 
   // The matching scheme still opens.
-  ShardedStore again(apks_backend, dir_, two_shards());
+  ShardedStore again(apks_backend, dir_.path(), two_shards());
   EXPECT_EQ(again.record_count(), 1u);
 }
 
@@ -442,7 +435,7 @@ TEST_F(BackendTest, UntaggedV1StoreLoadsAsLegacyApks) {
   CloudServer::SearchStats original_stats;
   {
     // Written through the pre-backend (Pairing-based) path, as PR 3 did.
-    ShardedStore store(e, dir_, two_shards());
+    ShardedStore store(e, dir_.path(), two_shards());
     CloudServer writer(scheme, verifier);
     writer.attach_store(&store);
     for (std::size_t i = 0; i < kRecords; ++i) {
@@ -457,8 +450,8 @@ TEST_F(BackendTest, UntaggedV1StoreLoadsAsLegacyApks) {
   }
 
   // Strip the scheme tags, as if the store had been written pre-refactor.
-  downgrade_to_v1(dir_ / "STORE");
-  for (const auto& entry : fs::directory_iterator(dir_)) {
+  downgrade_to_v1(dir_.path() / "STORE");
+  for (const auto& entry : fs::directory_iterator(dir_.path())) {
     if (entry.is_directory()) downgrade_to_v1(entry.path() / "MANIFEST");
   }
 
@@ -467,8 +460,8 @@ TEST_F(BackendTest, UntaggedV1StoreLoadsAsLegacyApks) {
   for (const bool use_backend : {false, true}) {
     const ShardedStoreOptions opts = two_shards();
     auto reopened = use_backend
-                        ? std::make_unique<ShardedStore>(backend, dir_, opts)
-                        : std::make_unique<ShardedStore>(e, dir_, opts);
+                        ? std::make_unique<ShardedStore>(backend, dir_.path(), opts)
+                        : std::make_unique<ShardedStore>(e, dir_.path(), opts);
     EXPECT_EQ(reopened->scheme(), SchemeKind::kApks);
     EXPECT_EQ(reopened->record_count(), kRecords);
     CloudServer restarted(scheme, verifier);
@@ -482,7 +475,7 @@ TEST_F(BackendTest, UntaggedV1StoreLoadsAsLegacyApks) {
   // A v1 store is still not up for grabs by other schemes.
   const Mrqed mrqed(e, 2, 3);
   const MrqedBackend mrqed_backend(mrqed);
-  EXPECT_THROW(ShardedStore(mrqed_backend, dir_, two_shards()),
+  EXPECT_THROW(ShardedStore(mrqed_backend, dir_.path(), two_shards()),
                std::invalid_argument);
 }
 

@@ -54,6 +54,7 @@
 #include "store/fs.h"
 #include "store/index_store.h"
 #include "store/sharded_store.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -70,20 +71,10 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 // Failpoints are process-global: every chaos test starts and ends clean.
 class ChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Failpoints::instance().clear_all();
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("apks-chaos-") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    Failpoints::instance().clear_all();
-    fs::remove_all(dir_);
-  }
+  void SetUp() override { Failpoints::instance().clear_all(); }
+  void TearDown() override { Failpoints::instance().clear_all(); }
 
-  fs::path dir_;
+  TestDir dir_{"chaos"};
 };
 
 // --- Store chaos ------------------------------------------------------------
@@ -119,7 +110,7 @@ TEST_F(ChaosTest, HundredSeededStoreFaultSchedules) {
 
   for (int seed = 0; seed < kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const fs::path d = dir_ / ("seed-" + std::to_string(seed));
+    const fs::path d = dir_.path() / ("seed-" + std::to_string(seed));
     std::uint64_t rng =
         static_cast<std::uint64_t>(seed) * std::uint64_t{0x9e3779b9} + 1;
 
@@ -564,7 +555,7 @@ TEST_F(ChaosTest, StoreScanCancellationStopsMidShard) {
   ApksPlusBackend backend(env.plus);
   ShardedStoreOptions sopts;
   sopts.shards = 2;
-  ShardedStore store(backend, dir_, sopts);
+  ShardedStore store(backend, dir_.path(), sopts);
   for (std::size_t i = 0; i < env.expected.size(); ++i) {
     (void)store.append_any(env.refs[i],
                            AnyIndex::own(SchemeKind::kApksPlus,

@@ -20,7 +20,6 @@
 //    within the hedge budget; results stay byte-identical.
 //  - Edge auth LRU: hit/miss/eviction counters, negatives never cached.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -40,6 +39,7 @@
 #include "core/apks_backend.h"
 #include "data/nursery.h"
 #include "data/workload.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -82,20 +82,13 @@ struct HealthEnv {
     return v;
   }
 
-  HealthEnv()
+  explicit HealthEnv(const fs::path& base)
       : e(default_type_a_params()),
         rng("cluster-health-test"),
         apks(e, nursery_schema(1)),
         ta(apks, rng),
         verifier(make_verifier(e, ta.ibs_params())),
         backend(apks) {
-    // ctest runs each test as its own process, possibly in parallel:
-    // the store directory must be per-process or one process's rebuild
-    // races another's reads.
-    const fs::path base =
-        fs::temp_directory_path() /
-        ("apks-cluster-health-env-" + std::to_string(::getpid()));
-    fs::remove_all(base);
     const std::vector<PlainIndex> rows = nursery_rows();
     ShardedStoreOptions opts;
     opts.shards = kShards;
@@ -115,7 +108,10 @@ struct HealthEnv {
 };
 
 HealthEnv& env() {
-  static HealthEnv* e = new HealthEnv();
+  // The env is leaked on purpose; its store directory (private to this
+  // process) is still removed at exit.
+  static const TestDir dir("cluster-health-env");
+  static HealthEnv* e = new HealthEnv(dir.path());
   return *e;
 }
 

@@ -39,6 +39,7 @@
 #include "data/workload.h"
 #include "mrqed/mrqed_backend.h"
 #include "net/client.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -94,7 +95,7 @@ struct ClusterEnv {
     return v;
   }
 
-  ClusterEnv()
+  explicit ClusterEnv(const fs::path& base)
       : e(default_type_a_params()),
         rng("cluster-test"),
         apks(e, nursery_schema(1)),
@@ -106,9 +107,6 @@ struct ClusterEnv {
         plus_backend(plus),
         mrqed(e, 2, 3),
         mrqed_backend(mrqed) {
-    const fs::path base =
-        fs::temp_directory_path() / "apks-cluster-test-env";
-    fs::remove_all(base);
     const std::vector<PlainIndex> rows = nursery_rows();
 
     ShardedStoreOptions opts;
@@ -165,7 +163,10 @@ struct ClusterEnv {
 };
 
 ClusterEnv& env() {
-  static ClusterEnv* e = new ClusterEnv();
+  // The env is leaked on purpose; its store directory (private to this
+  // process) is still removed at exit.
+  static const TestDir dir("cluster-env");
+  static ClusterEnv* e = new ClusterEnv(dir.path());
   return *e;
 }
 

@@ -1,7 +1,11 @@
 // Group-law, scalar-multiplication and encoding tests for the type-A curve.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "ec/curve.h"
+#include "scalar_decode.h"
 
 namespace apks {
 namespace {
@@ -151,6 +155,37 @@ TEST_F(CurveTest, DeserializeRejectsGarbage) {
   EXPECT_THROW((void)curve_.deserialize(buf), std::invalid_argument);
 }
 
+
+TEST_F(CurveTest, DeserializeRejectsNonCanonicalInfinity) {
+  std::array<std::uint8_t, Curve::kCompressedSize> buf{};
+  buf[64] = 1;  // tag 0 with a nonzero body
+  try {
+    (void)curve_.deserialize(buf);
+    FAIL() << "non-canonical infinity accepted";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_STREQ(ex.what(), "Curve::deserialize: non-canonical infinity");
+  }
+}
+
+TEST_F(CurveTest, DecodeBatchMatchesScalarReference) {
+  // Partial, exact and multi-chunk batches; every fifth point is infinity.
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 14u, 170u}) {
+    std::vector<std::array<std::uint8_t, Curve::kCompressedSize>> wire(n);
+    std::vector<AffinePoint> out(n);
+    std::vector<CompressedElement> elems(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const AffinePoint p = i % 5 == 4 ? AffinePoint::infinity()
+                                       : curve_.random_point(rng_);
+      curve_.serialize(p, wire[i]);
+      elems[i] = {wire[i].data(), &out[i], nullptr};
+    }
+    curve_.decode_batch(elems);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], scalar_decode_point(curve_, wire[i].data()))
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
 
 TEST_F(CurveTest, JacAddMatchesMixed) {
   const auto p = curve_.random_point(rng_);

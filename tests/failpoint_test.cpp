@@ -13,6 +13,7 @@
 #include "core/backend.h"
 #include "store/fs.h"
 #include "store/segment.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -210,20 +211,7 @@ TEST_F(FailpointTest, ConcurrentEvaluationIsThreadSafe) {
 
 class FailpointFsTest : public FailpointTest {
  protected:
-  void SetUp() override {
-    FailpointTest::SetUp();
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("apks-failpoint-") + info->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    fs::remove_all(dir_);
-    FailpointTest::TearDown();
-  }
-
-  fs::path dir_;
+  TestDir dir_{"failpoint"};
 };
 
 TEST_F(FailpointFsTest, InjectedWriteErrorSetsErrno) {
@@ -231,7 +219,7 @@ TEST_F(FailpointFsTest, InjectedWriteErrorSetsErrno) {
   p.action = FailAction::kError;
   p.error_code = ENOSPC;
   Failpoints::instance().set(storefs::kSiteWrite, p);
-  std::FILE* f = storefs::open(dir_ / "f", "wb");
+  std::FILE* f = storefs::open(dir_.path() / "f", "wb");
   ASSERT_NE(f, nullptr);
   const char data[4] = {'a', 'b', 'c', 'd'};
   errno = 0;
@@ -243,7 +231,7 @@ TEST_F(FailpointFsTest, InjectedWriteErrorSetsErrno) {
 }
 
 TEST_F(FailpointFsTest, ShortWriteLeavesTornPrefixOnDisk) {
-  const fs::path file = dir_ / "torn";
+  const fs::path file = dir_.path() / "torn";
   std::FILE* f = storefs::open(file, "wb");
   ASSERT_NE(f, nullptr);
   FailpointPolicy p;
@@ -263,7 +251,7 @@ TEST_F(FailpointFsTest, ShortWriteLeavesTornPrefixOnDisk) {
 }
 
 TEST_F(FailpointFsTest, SegmentWriterSurfacesInjectedFaultsAsStoreErrors) {
-  const fs::path seg = dir_ / "seg.apks";
+  const fs::path seg = dir_.path() / "seg.apks";
   SegmentWriter w(seg, /*shard_id=*/1, /*seq=*/1);
   const std::vector<std::uint8_t> payload(32, 0xAB);
 

@@ -307,6 +307,33 @@ TEST_F(FpLanesTest, SimdEnginesBitIdenticalToScalar) {
   }
 }
 
+TEST_F(FpLanesTest, BatchSqrtBitIdenticalToFieldSqrtOnEveryEngine) {
+  // Squares (roots exist), random values (about half non-residues), zero,
+  // in batch sizes that leave partial lane chunks on both widths.
+  for (const SimdLevel lvl :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (simd_level_detected() < lvl) continue;
+    const auto eng = make_fp_lane_engine(field_, lvl);
+    if (eng->level() != lvl) continue;
+    for (const std::size_t n : {1u, 3u, 8u, 13u}) {
+      auto a = random_values(n);
+      for (std::size_t i = 0; i < n; i += 2) a[i] = field_.sqr(a[i]);
+      a[n - 1] = field_.zero();
+      std::vector<LaneFp> out(n);
+      std::array<bool, 13> ok{};
+      batch_sqrt(*eng, field_, a, out, {ok.data(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        LaneFp want;
+        const bool want_ok = field_.sqrt(a[i], want);
+        EXPECT_EQ(ok[i], want_ok) << eng->name() << " n=" << n << " i=" << i;
+        if (want_ok) {
+          EXPECT_EQ(out[i], want) << eng->name();
+        }
+      }
+    }
+  }
+}
+
 TEST_F(FpLanesTest, BroadcastMatchesLoad) {
   for (const SimdLevel lvl :
        {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {

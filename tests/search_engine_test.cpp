@@ -12,6 +12,7 @@
 #include "cloud/server.h"
 #include "common/failpoint.h"
 #include "store/sharded_store.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -234,14 +235,11 @@ TEST_F(SearchEngineTest, DisabledPreparedCacheCountsMissesWithoutCaching) {
 // its hit matrix and must never memoize segment verdicts; only a complete
 // pass populates the verdict cache.
 TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "apks-engine-vcache-partial";
-  fs::remove_all(dir);
+  const TestDir dir("engine-vcache-partial");
   ShardedStoreOptions sopts;
   sopts.shards = 1;
   sopts.segment.segment_max_bytes = 1;  // seal after every append
-  ShardedStore store(e_, dir, sopts);
+  ShardedStore store(e_, dir.path(), sopts);
   auto put = [&](std::vector<std::string> values, std::string ref) {
     (void)store.append(std::move(ref),
                        apks_.gen_index(ta_.public_key(),
@@ -305,7 +303,6 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   EXPECT_EQ(got, want);
   EXPECT_GT(hot.verdict_hits, 0u);
   EXPECT_EQ(hot.verdict_puts, 0u);
-  fs::remove_all(dir);
 }
 
 // The lifetime counters are snapshotted under one lock; concurrent batches

@@ -17,6 +17,7 @@
 #include "data/nursery.h"
 #include "data/workload.h"
 #include "store/sharded_store.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -45,15 +46,7 @@ void append_bytes(const fs::path& file,
 
 class StoreRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("apks-recovery-") + info->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  TestDir dir_{"recovery"};
 };
 
 // The acceptance scenario: a Nursery-workload server with write-through
@@ -79,7 +72,7 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   opts.segment.segment_max_bytes = 16 << 10;  // a few segments per shard
 
   CloudServer pre_crash(scheme, make_verifier());
-  ShardedStore store(e, dir_, opts);
+  ShardedStore store(e, dir_.path(), opts);
   pre_crash.attach_store(&store);
   std::vector<const PlainIndex*> stored;
   for (std::size_t i = 0; i < kRecords; ++i) {
@@ -109,12 +102,12 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
                                          99};           // 1 of 200 bytes
   const std::uint8_t header_only[6] = {16, 0, 0, 0, 7, 7};
   const std::uint8_t garbage[3] = {0xDE, 0xAD, 0xBF};
-  append_bytes(active_segment(dir_ / "shard-000"), partial_frame);
-  append_bytes(active_segment(dir_ / "shard-001"), header_only);
-  append_bytes(active_segment(dir_ / "shard-002"), garbage);
+  append_bytes(active_segment(dir_.path() / "shard-000"), partial_frame);
+  append_bytes(active_segment(dir_.path() / "shard-001"), header_only);
+  append_bytes(active_segment(dir_.path() / "shard-002"), garbage);
 
   // Reopen: recovery truncates all three tails and keeps all 24 records.
-  ShardedStore recovered(e, dir_, opts);
+  ShardedStore recovered(e, dir_.path(), opts);
   const RecoveryStats rec = recovered.recovery();
   EXPECT_TRUE(rec.torn_tail);
   EXPECT_EQ(rec.torn_bytes,
@@ -173,7 +166,7 @@ TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
   opts.segment.segment_max_bytes = 16 << 10;
 
   CloudServer pre_crash(backend, make_verifier());
-  ShardedStore store(backend, dir_, opts);
+  ShardedStore store(backend, dir_.path(), opts);
   pre_crash.attach_store(&store);
   for (std::size_t i = 0; i < kRecords; ++i) {
     const PlainIndex& row = rows[(i * 433) % rows.size()];
@@ -199,13 +192,13 @@ TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
   pre_crash.attach_store(nullptr);
   const std::uint8_t partial_frame[7] = {64, 0, 0, 0, 9, 9, 9};
   const std::uint8_t garbage[2] = {0xBA, 0xD1};
-  append_bytes(active_segment(dir_ / "shard-000"), partial_frame);
-  append_bytes(active_segment(dir_ / "shard-001"), garbage);
+  append_bytes(active_segment(dir_.path() / "shard-000"), partial_frame);
+  append_bytes(active_segment(dir_.path() / "shard-001"), garbage);
 
   // Reopen under the same backend: the scheme tag matches, recovery
   // truncates the tails, and the persisted-transformed records serve
   // byte-identical results without re-running the proxy chain.
-  ShardedStore recovered(backend, dir_, opts);
+  ShardedStore recovered(backend, dir_.path(), opts);
   EXPECT_EQ(recovered.scheme(), SchemeKind::kApksPlus);
   EXPECT_TRUE(recovered.recovery().torn_tail);
   EXPECT_EQ(recovered.record_count(), kRecords);
@@ -248,7 +241,7 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
   opts.segment.segment_max_bytes = 1;  // seal after every append
 
   {
-    ShardedStore store(e, dir_, opts);
+    ShardedStore store(e, dir_.path(), opts);
     for (std::size_t i = 0; i < kRecords; ++i) {
       const PlainIndex& row = rows[(i * 541) % rows.size()];
       (void)store.append("row-" + std::to_string(i),
@@ -279,7 +272,7 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
 
   // Populate: first cached batch memoizes every sealed segment's verdict.
   {
-    ShardedStore store(e, dir_, opts);
+    ShardedStore store(e, dir_.path(), opts);
     CloudServer server(scheme, CapabilityVerifier(e, ta.ibs_params()));
     ASSERT_EQ(server.load_from(store), kRecords);
     ASSERT_FALSE(server.segment_table().empty());
@@ -291,10 +284,10 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
   // identities are durable, so the SAME cache keeps serving the reopened
   // store — and must still match an uncached engine exactly.
   const std::uint8_t garbage[5] = {0xBA, 0xD0, 0xCA, 0xFE, 0x01};
-  append_bytes(active_segment(dir_ / "shard-000"), garbage);
-  append_bytes(active_segment(dir_ / "shard-001"), garbage);
+  append_bytes(active_segment(dir_.path() / "shard-000"), garbage);
+  append_bytes(active_segment(dir_.path() / "shard-001"), garbage);
   {
-    ShardedStore recovered(e, dir_, opts);
+    ShardedStore recovered(e, dir_.path(), opts);
     EXPECT_TRUE(recovered.recovery().torn_tail);
     ASSERT_EQ(recovered.record_count(), kRecords);
     CloudServer server(scheme, CapabilityVerifier(e, ta.ibs_params()));
@@ -324,7 +317,7 @@ TEST_F(StoreRecoveryTest, TruncationSweepRecoversCommittedPrefix) {
   constexpr std::size_t kRecords = 10;
   std::vector<std::vector<std::uint8_t>> payloads;
   std::vector<std::uint64_t> frame_end;  // file offset after frame i
-  const fs::path writer_dir = dir_ / "writer";
+  const fs::path writer_dir = dir_.path() / "writer";
   {
     IndexStore store(writer_dir, 0, {});
     for (std::size_t i = 0; i < kRecords; ++i) {
@@ -351,7 +344,7 @@ TEST_F(StoreRecoveryTest, TruncationSweepRecoversCommittedPrefix) {
   }
   for (const std::uint64_t cut : cuts) {
     if (cut < kSegmentHeaderSize) continue;
-    const fs::path trial = dir_ / ("trial-" + std::to_string(cut));
+    const fs::path trial = dir_.path() / ("trial-" + std::to_string(cut));
     fs::copy(writer_dir, trial, fs::copy_options::recursive);
     fs::resize_file(active_segment(trial), cut);
 
@@ -388,7 +381,7 @@ TEST_F(StoreRecoveryTest, RepeatedCrashesNeverLoseCommittedRecords) {
   std::size_t committed = 0;
   for (int round = 0; round < 4; ++round) {
     {
-      IndexStore store(dir_, 0, {});
+      IndexStore store(dir_.path(), 0, {});
       EXPECT_EQ(store.record_count(), committed);
       const std::string payload = "round-" + std::to_string(round);
       store.put(std::span<const std::uint8_t>(
@@ -397,9 +390,9 @@ TEST_F(StoreRecoveryTest, RepeatedCrashesNeverLoseCommittedRecords) {
       store.sync();
       ++committed;
     }
-    append_bytes(active_segment(dir_), garbage);  // crash mid-append
+    append_bytes(active_segment(dir_.path()), garbage);  // crash mid-append
   }
-  IndexStore store(dir_, 0, {});
+  IndexStore store(dir_.path(), 0, {});
   EXPECT_EQ(store.record_count(), committed);
   EXPECT_TRUE(store.recovery().torn_tail);
 }

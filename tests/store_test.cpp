@@ -14,6 +14,7 @@
 #include "core/serialize_apks.h"
 #include "store/index_store.h"
 #include "store/sharded_store.h"
+#include "test_dir.h"
 
 namespace apks {
 namespace {
@@ -27,15 +28,7 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
 // Fresh scratch directory per test, removed on teardown.
 class StoreDirTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() /
-           (std::string("apks-store-") + info->name());
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
+  TestDir dir_{"store"};
 };
 
 TEST(Crc32Test, KnownAnswersAndChaining) {
@@ -48,8 +41,7 @@ TEST(Crc32Test, KnownAnswersAndChaining) {
 }
 
 TEST_F(StoreDirTest, SegmentRoundTripAndTornTail) {
-  fs::create_directories(dir_);
-  const fs::path seg = dir_ / "seg.apks";
+  const fs::path seg = dir_.path() / "seg.apks";
   {
     SegmentWriter w(seg, /*shard_id=*/7, /*seq=*/3);
     w.append(bytes_of("alpha"));
@@ -94,8 +86,7 @@ TEST_F(StoreDirTest, SegmentRoundTripAndTornTail) {
 }
 
 TEST_F(StoreDirTest, SegmentCorruptFrameStopsScan) {
-  fs::create_directories(dir_);
-  const fs::path seg = dir_ / "seg.apks";
+  const fs::path seg = dir_.path() / "seg.apks";
   std::uint64_t first_two_end = 0;
   {
     SegmentWriter w(seg, 0, 1);
@@ -121,8 +112,7 @@ TEST_F(StoreDirTest, SegmentCorruptFrameStopsScan) {
 }
 
 TEST_F(StoreDirTest, SegmentRejectsBadHeaderAndHugeLength) {
-  fs::create_directories(dir_);
-  const fs::path bad = dir_ / "bad.apks";
+  const fs::path bad = dir_.path() / "bad.apks";
   {
     std::FILE* f = std::fopen(bad.c_str(), "wb");
     std::fputs("not a segment at all", f);
@@ -132,7 +122,7 @@ TEST_F(StoreDirTest, SegmentRejectsBadHeaderAndHugeLength) {
 
   // A frame whose length field exceeds the cap is a torn tail, not an
   // allocation request.
-  const fs::path seg = dir_ / "seg.apks";
+  const fs::path seg = dir_.path() / "seg.apks";
   {
     SegmentWriter w(seg, 0, 1);
     w.append(bytes_of("ok"));
@@ -154,7 +144,7 @@ TEST_F(StoreDirTest, IndexStoreRotationAndReopen) {
   opts.segment_max_bytes = 128;  // force rotation every few records
   std::vector<std::string> written;
   {
-    IndexStore store(dir_, /*shard_id=*/2, opts);
+    IndexStore store(dir_.path(), /*shard_id=*/2, opts);
     for (int i = 0; i < 40; ++i) {
       written.push_back("record-" + std::to_string(i));
       store.put(bytes_of(written.back()));
@@ -164,7 +154,7 @@ TEST_F(StoreDirTest, IndexStoreRotationAndReopen) {
     EXPECT_EQ(store.record_count(), 40u);
   }
   // Reopen: manifest + chain replay everything in order.
-  IndexStore reopened(dir_, 2, opts);
+  IndexStore reopened(dir_.path(), 2, opts);
   EXPECT_EQ(reopened.record_count(), 40u);
   EXPECT_FALSE(reopened.recovery().torn_tail);
   std::vector<std::string> replayed;
@@ -174,13 +164,13 @@ TEST_F(StoreDirTest, IndexStoreRotationAndReopen) {
   EXPECT_EQ(replayed, written);
 
   // Shard id mismatch is refused (a store directory is not relabelable).
-  EXPECT_THROW(IndexStore(dir_, 3, opts), std::runtime_error);
+  EXPECT_THROW(IndexStore(dir_.path(), 3, opts), std::runtime_error);
 }
 
 TEST_F(StoreDirTest, IndexStoreCompactCollapsesChain) {
   IndexStoreOptions opts;
   opts.segment_max_bytes = 96;
-  IndexStore store(dir_, 0, opts);
+  IndexStore store(dir_.path(), 0, opts);
   std::vector<std::string> written;
   for (int i = 0; i < 25; ++i) {
     written.push_back("payload-" + std::to_string(i));
@@ -203,11 +193,11 @@ TEST_F(StoreDirTest, IndexStoreCompactCollapsesChain) {
 
   // Old segment files are gone; a reopen agrees with the live object.
   std::size_t seg_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
+  for (const auto& entry : fs::directory_iterator(dir_.path())) {
     if (entry.path().extension() == ".apks") ++seg_files;
   }
   EXPECT_EQ(seg_files, 2u);
-  IndexStore reopened(dir_, 0, opts);
+  IndexStore reopened(dir_.path(), 0, opts);
   EXPECT_EQ(reopened.record_count(), 25u);
 }
 
@@ -303,7 +293,7 @@ class ShardedStoreTest : public StoreDirTest {
 TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
   std::vector<std::vector<std::uint8_t>> original;
   {
-    ShardedStore store(e_, dir_, small_segments());
+    ShardedStore store(e_, dir_.path(), small_segments());
     for (int i = 0; i < 10; ++i) {
       const EncryptedIndex enc = scheme_.gen_index(
           pk_, PlainIndex{{i % 2 == 0 ? "x" : "q", "y"}}, rng_);
@@ -318,7 +308,7 @@ TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
   // Reopen (options ask for 5 shards — the on-disk 3 must win).
   ShardedStoreOptions reopen_opts = small_segments();
   reopen_opts.shards = 5;
-  ShardedStore store(e_, dir_, reopen_opts);
+  ShardedStore store(e_, dir_.path(), reopen_opts);
   EXPECT_EQ(store.shard_count(), 3u);
   EXPECT_EQ(store.next_id(), 11u);
   const std::vector<StoredIndexRecord> records = store.load_all();
@@ -333,7 +323,7 @@ TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
 
 TEST_F(ShardedStoreTest, DiskSearchMatchesInMemoryServer) {
   CloudServer server(scheme_, CapabilityVerifier(e_, IbsPublicParams{}));
-  ShardedStore store(e_, dir_, small_segments());
+  ShardedStore store(e_, dir_.path(), small_segments());
   server.attach_store(&store);
   for (int i = 0; i < 12; ++i) {
     const bool match = i % 3 == 0;
@@ -363,7 +353,7 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   };
   CloudServer original(scheme_, verifier());
   {
-    ShardedStore store(e_, dir_, small_segments());
+    ShardedStore store(e_, dir_.path(), small_segments());
     original.attach_store(&store);
     for (int i = 0; i < 8; ++i) {
       (void)original.store(
@@ -375,7 +365,7 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   }  // "crash": the store object goes away, only the files remain
 
   // ...restart from disk and compare against the never-restarted server.
-  ShardedStore reopened(e_, dir_, small_segments());
+  ShardedStore reopened(e_, dir_.path(), small_segments());
   CloudServer restarted(scheme_, verifier());
   EXPECT_EQ(restarted.load_from(reopened), 8u);
   EXPECT_EQ(restarted.record_count(), original.record_count());
@@ -390,7 +380,7 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   EXPECT_EQ(stats_a.matched, stats_b.matched);
 
   // New uploads on the restarted server continue the id sequence.
-  ShardedStore store2(e_, dir_, small_segments());
+  ShardedStore store2(e_, dir_.path(), small_segments());
   restarted.attach_store(&store2);
   const std::uint64_t id = restarted.store(
       scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_), "doc-8");
@@ -398,7 +388,7 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
 }
 
 TEST_F(ShardedStoreTest, ExplicitPutKeepsIdCounterAhead) {
-  ShardedStore store(e_, dir_, small_segments());
+  ShardedStore store(e_, dir_.path(), small_segments());
   const EncryptedIndex enc =
       scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_);
   store.put(41, "doc-41", enc);
@@ -412,7 +402,7 @@ TEST_F(ShardedStoreTest, ExplicitPutKeepsIdCounterAhead) {
 }
 
 TEST_F(ShardedStoreTest, CompactPreservesRecordsAcrossShards) {
-  ShardedStore store(e_, dir_, small_segments());
+  ShardedStore store(e_, dir_.path(), small_segments());
   const EncryptedIndex enc =
       scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_);
   for (int i = 0; i < 9; ++i) {
@@ -428,23 +418,22 @@ TEST_F(ShardedStoreTest, CompactPreservesRecordsAcrossShards) {
     EXPECT_EQ(after[i].doc_ref, before[i].doc_ref);
   }
   // And the compacted store reopens.
-  ShardedStore reopened(e_, dir_, small_segments());
+  ShardedStore reopened(e_, dir_.path(), small_segments());
   EXPECT_EQ(reopened.record_count(), 9u);
 }
 
 class DocStoreTest : public StoreDirTest {};
 
 TEST_F(DocStoreTest, PersistReloadRoundTrip) {
-  fs::create_directories(dir_);
   ChaChaRng rng("docstore-persist");
   const DocumentKey key = DocumentKey::random(rng);
   DocumentStore docs;
   docs.put("doc-a", key, std::string_view("hello world"), rng);
   docs.put("doc-b", key, std::string_view("second document"), rng);
-  docs.persist(dir_ / "docs.apks");
+  docs.persist(dir_.path() / "docs.apks");
 
   DocumentStore reloaded;
-  EXPECT_EQ(reloaded.load(dir_ / "docs.apks"), 2u);
+  EXPECT_EQ(reloaded.load(dir_.path() / "docs.apks"), 2u);
   EXPECT_EQ(reloaded.get_text("doc-a", key), "hello world");
   EXPECT_EQ(reloaded.get_text("doc-b", key), "second document");
   // Sealed blobs survive the disk trip bit-exactly: tampering detection

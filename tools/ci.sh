@@ -4,13 +4,15 @@
 # artifact, a ThreadSanitizer build of the cloud/server concurrency tests,
 # a UBSan build of the scheme-backend surface (mrqed, proxy ingest,
 # backend type-erasure), a UBSan pairing stage that runs the
-# multi-pairing/SIMD-kernel tests with the lane engines forced on and off
-# (APKS_FORCE_SCALAR), and a serving stage for the network layer (TSan
-# server+client loopback tests, the ASan hostile-frame sweep, and the
-# serving load-generator smoke artifact). Run from the repository root:
+# multi-pairing/SIMD-kernel and batched point-decode tests with the lane
+# engines forced on and off (APKS_FORCE_SCALAR), and a serving stage for
+# the network layer (TSan server+client loopback tests, the ASan
+# hostile-frame sweep, and the serving load-generator smoke artifact).
+# Run from the repository root:
 #
 #   tools/ci.sh            # tier-1 + store + TSan + UBSan + pairing + chaos + serving
-#   tools/ci.sh --store    # store stage only (ASan + crash recovery + bench)
+#   tools/ci.sh --store    # store stage only (ASan + crash recovery + bench
+#                          #   smoke, artifact under build-asan/)
 #   tools/ci.sh --tsan     # TSan cloud tests only
 #   tools/ci.sh --ubsan    # UBSan backend/mrqed/proxy tests only
 #   tools/ci.sh --pairing  # UBSan pairing/SIMD tests + pairing bench artifact
@@ -61,7 +63,10 @@ if [[ $STAGE == all ]]; then
   echo "=== tier-1: full build + ctest ==="
   configure build
   cmake --build build -j "$JOBS"
-  (cd build && ctest --output-on-failure -j "$JOBS")
+  # Random order, every test twice: a test that leans on state shared
+  # with another process fails here instead of on scheduling luck.
+  (cd build && ctest --output-on-failure -j "$JOBS" --schedule-random \
+    --repeat until-fail:2)
 
   echo "=== bench smoke: MSM engine comparison + JSON artifact ==="
   ./build/bench/bench_msm --smoke --json=BENCH_msm.json
@@ -90,8 +95,11 @@ if [[ $STAGE == all || $STAGE == store ]]; then
     echo "--- $t (ASan) ---"
     ./build-asan/tests/"$t"
   done
-  ./build-asan/bench/bench_store --smoke --json=BENCH_store.json
-  [[ -s BENCH_store.json ]] || { echo "BENCH_store.json missing/empty"; exit 1; }
+  # A sanitized smoke run: its artifact stays in the build tree. The
+  # committed BENCH_store.json comes from a Release, non-smoke run.
+  ./build-asan/bench/bench_store --smoke --json=build-asan/BENCH_store.json
+  [[ -s build-asan/BENCH_store.json ]] ||
+    { echo "build-asan/BENCH_store.json missing/empty"; exit 1; }
 fi
 
 if [[ $STAGE == all || $STAGE == tsan ]]; then
@@ -116,11 +124,12 @@ if [[ $STAGE == all || $STAGE == ubsan ]]; then
   done
 fi
 if [[ $STAGE == all || $STAGE == pairing ]]; then
-  echo "=== pairing: UBSan multi-pairing + SIMD lane engines (forced on/off) ==="
+  echo "=== pairing: UBSan multi-pairing, SIMD lane engines and batched point decode (forced on/off) ==="
   configure build-ubsan -DAPKS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-ubsan -j "$JOBS" \
-    --target pairing_test multi_pairing_test bench_pairing
-  for t in pairing_test multi_pairing_test; do
+  cmake --build build-ubsan -j "$JOBS" --target pairing_test \
+    multi_pairing_test curve_test serialize_test fuzz_test bench_pairing
+  for t in pairing_test multi_pairing_test curve_test serialize_test \
+      fuzz_test; do
     echo "--- $t (UBSan, SIMD auto) ---"
     ./build-ubsan/tests/"$t"
     echo "--- $t (UBSan, APKS_FORCE_SCALAR=1) ---"
