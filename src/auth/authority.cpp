@@ -158,8 +158,9 @@ bool CapabilityVerifier::verify(const SearchBackend& backend,
 bool CapabilityVerifier::verify_message(std::span<const std::uint8_t> message,
                                         const std::string& issuer,
                                         const IbsSignature& sig) const {
-  if (registered_.find(issuer) == registered_.end()) return false;
-  return ibs_.verify(params_, issuer, message, sig);
+  const auto it = registered_.find(issuer);
+  if (it == registered_.end()) return false;
+  return ibs_.verify(params_, it->second, message, sig);
 }
 
 }  // namespace apks

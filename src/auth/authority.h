@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "auth/ibs.h"
@@ -156,8 +155,12 @@ class CapabilityVerifier {
   CapabilityVerifier(const Pairing& pairing, IbsPublicParams params)
       : ibs_(pairing), params_(std::move(params)), pairing_(&pairing) {}
 
+  // Hashes the issuer's identity point once, here, so verify pays only the
+  // pairings.
   void register_authority(const std::string& name) {
-    registered_.insert(name);
+    if (!registered_.contains(name)) {
+      registered_.emplace(name, ibs_.identity_point(name));
+    }
   }
 
   [[nodiscard]] bool verify(const SignedCapability& cap) const;
@@ -178,7 +181,7 @@ class CapabilityVerifier {
   Ibs ibs_;
   IbsPublicParams params_;
   const Pairing* pairing_;
-  std::set<std::string> registered_;
+  std::map<std::string, AffinePoint> registered_;  // issuer -> H1(issuer)
 };
 
 // The byte string the IBS covers: the HPE key plus the issuer name.

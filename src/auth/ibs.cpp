@@ -11,11 +11,15 @@ Ibs::SetupResult Ibs::setup(Rng& rng) const {
   return out;
 }
 
+AffinePoint Ibs::identity_point(std::string_view identity) const {
+  return e_->curve().hash_to_point(std::string("ibs:id:") +
+                                   std::string(identity));
+}
+
 IbsSigningKey Ibs::extract(const Fq& msk, std::string_view identity) const {
   IbsSigningKey key;
   key.identity = std::string(identity);
-  key.d = e_->curve().mul_fq(
-      e_->curve().hash_to_point(std::string("ibs:id:") + key.identity), msk);
+  key.d = e_->curve().mul_fq(identity_point(identity), msk);
   return key;
 }
 
@@ -36,8 +40,7 @@ IbsSignature Ibs::sign(const IbsSigningKey& key,
                        Rng& rng) const {
   const Curve& curve = e_->curve();
   const FqField& fq = e_->fq();
-  const AffinePoint qid =
-      curve.hash_to_point(std::string("ibs:id:") + key.identity);
+  const AffinePoint qid = identity_point(key.identity);
   const Fq r = fq.random_nonzero(rng);
   IbsSignature sig;
   sig.u = curve.mul_fq(qid, r);
@@ -46,14 +49,12 @@ IbsSignature Ibs::sign(const IbsSigningKey& key,
   return sig;
 }
 
-bool Ibs::verify(const IbsPublicParams& params, std::string_view identity,
+bool Ibs::verify(const IbsPublicParams& params, const AffinePoint& qid,
                  std::span<const std::uint8_t> message,
                  const IbsSignature& sig) const {
   const Curve& curve = e_->curve();
   if (sig.u.inf || sig.v.inf) return false;
   if (!curve.on_curve(sig.u) || !curve.on_curve(sig.v)) return false;
-  const AffinePoint qid =
-      curve.hash_to_point(std::string("ibs:id:") + std::string(identity));
   const Fq h = challenge(message, sig.u);
   // e(V, g) == e(U + h*Qid, Ppub).
   const GtEl lhs = e_->pair(sig.v, curve.generator());

@@ -48,8 +48,20 @@ class Ibs {
                                   std::span<const std::uint8_t> message,
                                   Rng& rng) const;
 
+  // H1(identity): the public point an identity's keys and signatures are
+  // built on. A verifier that checks many signatures from one issuer
+  // hashes it once (try-and-increment plus cofactor clearing) and reuses it.
+  [[nodiscard]] AffinePoint identity_point(std::string_view identity) const;
+
   [[nodiscard]] bool verify(const IbsPublicParams& params,
                             std::string_view identity,
+                            std::span<const std::uint8_t> message,
+                            const IbsSignature& sig) const {
+    return verify(params, identity_point(identity), message, sig);
+  }
+  // Same check against an already-hashed identity_point(identity).
+  [[nodiscard]] bool verify(const IbsPublicParams& params,
+                            const AffinePoint& qid,
                             std::span<const std::uint8_t> message,
                             const IbsSignature& sig) const;
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -99,19 +102,20 @@ std::vector<std::vector<std::string>> SearchEngine::search_batch_unchecked(
 
 std::vector<std::vector<std::string>> SearchEngine::search_batch_unchecked_any(
     std::span<const AnyQuery> queries, BatchMetrics* metrics,
-    const ServeControl& control) const {
+    const ServeControl& control, std::span<const QueryDigest> digests) const {
   const std::vector<char> serve(queries.size(), 1);
-  return run_batch(queries, serve, /*checked=*/false, metrics, control);
+  return run_batch(queries, serve, /*checked=*/false, metrics, control,
+                   /*match_ids=*/nullptr, digests);
 }
 
 std::vector<std::vector<std::string>>
 SearchEngine::search_batch_unchecked_any_ids(
     std::span<const AnyQuery> queries,
     std::vector<std::vector<std::uint64_t>>* match_ids, BatchMetrics* metrics,
-    const ServeControl& control) const {
+    const ServeControl& control, std::span<const QueryDigest> digests) const {
   const std::vector<char> serve(queries.size(), 1);
   return run_batch(queries, serve, /*checked=*/false, metrics, control,
-                   match_ids);
+                   match_ids, digests);
 }
 
 std::vector<std::string> SearchEngine::search(const SignedCapability& cap,
@@ -128,7 +132,14 @@ std::vector<std::string> SearchEngine::search(const SignedCapability& cap,
 std::vector<std::vector<std::string>> SearchEngine::run_batch(
     std::span<const AnyQuery> queries, std::span<const char> serve,
     bool checked, BatchMetrics* metrics, const ServeControl& control,
-    std::vector<std::vector<std::uint64_t>>* match_ids) const {
+    std::vector<std::vector<std::uint64_t>>* match_ids,
+    std::span<const QueryDigest> supplied_digests) const {
+  if (!supplied_digests.empty() && supplied_digests.size() != queries.size()) {
+    throw std::invalid_argument("search batch: " +
+                                std::to_string(supplied_digests.size()) +
+                                " digests for " +
+                                std::to_string(queries.size()) + " queries");
+  }
   if (match_ids != nullptr) {
     match_ids->assign(queries.size(), {});
   }
@@ -175,7 +186,8 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
 
   // --- Phase 1: per-query preprocessing through the LRU cache. -----------
   std::vector<AnyPrepared> prepared(queries.size());
-  // Digests double as the verdict-cache key in phase 2 — computed once.
+  // Digests double as the verdict-cache key in phase 2 — computed once,
+  // or not at all when the caller supplied them.
   std::vector<QueryDigest> digests(queries.size());
   std::vector<std::size_t> active;  // indices of queries that will scan
   active.reserve(queries.size());
@@ -186,12 +198,17 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     if (should_stop()) break;     // deadline blew during preprocessing
     const auto t0 = Clock::now();
     const PairingOpCounts c0 = pairing.op_counts();
-    digests[i] = backend.digest(queries[i]);
-    AnyPrepared entry = cache_.get(digests[i]);
+    if (supplied_digests.empty()) {
+      digests[i] = backend.digest(queries[i]);
+    } else {
+      digests[i] = supplied_digests[i];
+      assert(digests[i] == backend.digest(queries[i]));
+    }
+    AnyPrepared entry = cache_->get(digests[i]);
     if (!entry.empty()) {
       m.cache_hit = true;
     } else {
-      entry = cache_.put(digests[i], backend.prepare(queries[i]));
+      entry = cache_->put(digests[i], backend.prepare(queries[i]));
       m.prepare_calls = 1;
     }
     prepared[i] = std::move(entry);
@@ -275,11 +292,29 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
       scanned_records.fetch_add(hi - lo, std::memory_order_relaxed);
     };
 
-    std::size_t threads =
-        options_.threads != 0
-            ? options_.threads
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    threads = std::min(threads, std::max<std::size_t>(1, n_blocks));
+    // The worker count follows the pairing work left after the probe: when
+    // every active query has a memo for every sealed segment and no record
+    // is unsealed, the scan is binary searches only and runs on the calling
+    // thread — spawning workers would cost more than the scan.
+    const auto unmemoized = [](const auto& per_segment) {
+      return std::find(per_segment.begin(), per_segment.end(), nullptr) !=
+             per_segment.end();
+    };
+    const auto unsealed = [](const CloudServer::Record& r) {
+      return r.segment < 0;
+    };
+    const bool pairing_left =
+        !use_vcache ||
+        std::any_of(verdicts.begin(), verdicts.end(), unmemoized) ||
+        std::any_of(records.begin(), records.end(), unsealed);
+    std::size_t threads = 1;
+    if (pairing_left) {
+      threads = options_.threads != 0
+                    ? options_.threads
+                    : std::max<std::size_t>(
+                          1, std::thread::hardware_concurrency());
+      threads = std::min(threads, std::max<std::size_t>(1, n_blocks));
+    }
     bm.threads = threads;
 
     const auto scan_t0 = Clock::now();

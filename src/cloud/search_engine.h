@@ -10,7 +10,9 @@
 //      never scanned),
 //   2. preprocess each query once (SearchBackend::prepare), consulting an
 //      LRU cache keyed by the backend's query digest so repeated identical
-//      queries — the hot-key case — skip preprocessing entirely,
+//      queries — the hot-key case — skip preprocessing entirely (a caller
+//      that already holds the digest, like a network session, passes it in
+//      and the query is not re-hashed),
 //   3. scan records in blocks, evaluating every query against a block
 //      while it is cache-hot, with a work-stealing pool of worker threads
 //      shared across all queries of the batch. Records tagged with a
@@ -18,7 +20,9 @@
 //      against the per-segment verdict cache (verdict_cache.h): a memoized
 //      (digest, segment) verdict answers the record with a binary search
 //      instead of a pairing product, and a complete (non-partial,
-//      non-cancelled) scan memoizes the verdicts it just computed.
+//      non-cancelled) scan memoizes the verdicts it just computed. A batch
+//      the verdict cache answers entirely runs on the calling thread: the
+//      worker count follows the pairing work left after the probe.
 //
 // The engine is scheme-agnostic: it drives the server's SearchBackend, so
 // APKS, APKS+ and MRQED^D batches all flow through this identical path
@@ -130,6 +134,10 @@ class SearchEngine {
     // verdict_cache_bytes) — lets the cache outlive one engine, e.g.
     // across a server reload, and lets several engines pool verdicts.
     std::shared_ptr<VerdictCache> verdict_cache = nullptr;
+    // Share an externally owned prepared-query cache instead (wins over
+    // cache_capacity) — lets the engines of one cluster node hold a single
+    // prepared copy of each capability across all their shards.
+    std::shared_ptr<PreparedQueryCache> prepared_cache = nullptr;
   };
 
   explicit SearchEngine(const CloudServer& server)
@@ -137,7 +145,10 @@ class SearchEngine {
   SearchEngine(const CloudServer& server, Options options)
       : server_(&server),
         options_(options),
-        cache_(options.cache_capacity),
+        cache_(options.prepared_cache != nullptr
+                   ? options.prepared_cache
+                   : std::make_shared<PreparedQueryCache>(
+                         options.cache_capacity)),
         vcache_(options.verdict_cache != nullptr
                     ? options.verdict_cache
                     : (options.verdict_cache_bytes != 0
@@ -179,10 +190,15 @@ class SearchEngine {
   [[nodiscard]] std::vector<std::vector<std::string>> search_batch_unchecked(
       std::span<const Capability> caps, BatchMetrics* metrics = nullptr,
       const ServeControl& control = {}) const;
+  // `digests`, when non-empty, holds backend.digest(queries[i]) for every
+  // query (a network session computes it once at auth); the engine then
+  // skips re-hashing each query. Empty = the engine hashes. A non-empty
+  // span of the wrong length throws std::invalid_argument.
   [[nodiscard]] std::vector<std::vector<std::string>>
   search_batch_unchecked_any(std::span<const AnyQuery> queries,
                              BatchMetrics* metrics = nullptr,
-                             const ServeControl& control = {}) const;
+                             const ServeControl& control = {},
+                             std::span<const QueryDigest> digests = {}) const;
 
   // Cluster node role: identical scan to search_batch_unchecked_any, but
   // `match_ids` (one vector per query, parallel to the results) receives
@@ -193,12 +209,14 @@ class SearchEngine {
   search_batch_unchecked_any_ids(
       std::span<const AnyQuery> queries,
       std::vector<std::vector<std::uint64_t>>* match_ids,
-      BatchMetrics* metrics = nullptr, const ServeControl& control = {}) const;
+      BatchMetrics* metrics = nullptr, const ServeControl& control = {},
+      std::span<const QueryDigest> digests = {}) const;
 
-  // Lifetime cache counters (across all batches served by this engine).
-  [[nodiscard]] std::size_t cache_hits() const { return cache_.hits(); }
-  [[nodiscard]] std::size_t cache_misses() const { return cache_.misses(); }
-  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
+  // Lifetime prepared-cache counters (across all batches served through
+  // this engine's cache — every engine sharing it, when shared).
+  [[nodiscard]] std::size_t cache_hits() const { return cache_->hits(); }
+  [[nodiscard]] std::size_t cache_misses() const { return cache_->misses(); }
+  [[nodiscard]] std::size_t cache_size() const { return cache_->size(); }
 
   // The server this engine scans (the network front end reads its record
   // count, backend and verifier through this).
@@ -226,7 +244,8 @@ class SearchEngine {
   [[nodiscard]] std::vector<std::vector<std::string>> run_batch(
       std::span<const AnyQuery> queries, std::span<const char> authorized,
       bool checked, BatchMetrics* metrics, const ServeControl& control,
-      std::vector<std::vector<std::uint64_t>>* match_ids = nullptr) const;
+      std::vector<std::vector<std::uint64_t>>* match_ids = nullptr,
+      std::span<const QueryDigest> digests = {}) const;
 
   // One counter bump per batch outcome — a mutex is cheap at that rate and
   // buys tear-free counters() snapshots (admission still uses the atomic
@@ -238,7 +257,7 @@ class SearchEngine {
 
   const CloudServer* server_;
   Options options_;
-  mutable PreparedQueryCache cache_;
+  std::shared_ptr<PreparedQueryCache> cache_;
   mutable std::shared_ptr<VerdictCache> vcache_;
   mutable std::atomic<std::size_t> inflight_{0};
   mutable std::mutex counters_mutex_;

@@ -13,6 +13,10 @@ ClusterNode::ClusterNode(const SearchBackend& backend,
       verifier_(verifier),
       store_(&store),
       engine_options_(options.engine) {
+  if (engine_options_.prepared_cache == nullptr) {
+    engine_options_.prepared_cache =
+        std::make_shared<PreparedQueryCache>(engine_options_.cache_capacity);
+  }
   if (node_index >= map.nodes().size()) {
     throw std::invalid_argument("ClusterNode: node index " +
                                 std::to_string(node_index) +

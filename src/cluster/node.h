@@ -40,7 +40,11 @@
 namespace apks::cluster {
 
 struct ClusterNodeOptions {
-  // Per-shard engine options (threads apply per shard scan).
+  // Per-shard engine options (threads apply per shard scan). Every engine
+  // of the node shares one prepared-query cache: engine.prepared_cache if
+  // set, else one the node creates with engine.cache_capacity. It outlives
+  // apply_map, so a newly assigned shard serves capabilities the node
+  // already prepared.
   SearchEngine::Options engine;
   // Network front end. host/port here are the BIND address (port 0 =
   // ephemeral, read back via port()); the map's host/port entries are
@@ -110,7 +114,7 @@ class ClusterNode {
   CapabilityVerifier verifier_;
   ShardedStore* store_;
   std::string name_;
-  SearchEngine::Options engine_options_;
+  SearchEngine::Options engine_options_;  // prepared_cache always set
 
   std::mutex apply_mu_;      // serializes apply_map calls
   mutable std::mutex mu_;    // guards map_ and state_

@@ -15,9 +15,9 @@ std::vector<Fq> Apks::encode_query_vector(const Query& query,
   return phi_encode(fq, schema_, hash_query(fq, schema_, converted), rng);
 }
 
-GtEl Apks::match_flag() const {
-  const Pairing& e = hpe_.pairing();
-  return e.gt_pow(e.gt_generator(), hash_to_fq(e.fq(), "apks:match-flag"));
+GtEl Apks::derive_match_flag(const Pairing& pairing) {
+  return pairing.gt_pow(pairing.gt_generator(),
+                        hash_to_fq(pairing.fq(), "apks:match-flag"));
 }
 
 EncryptedIndex Apks::gen_index(const ApksPublicKey& pk,
@@ -50,7 +50,7 @@ bool Apks::search_prepared(const PreparedCapability& cap,
 void Apks::search_prepared_block(const PreparedCapability& cap,
                                  const EncryptedIndex* const* indexes,
                                  std::size_t n, bool* out) const {
-  const GtEl flag = match_flag();
+  const GtEl& flag = match_flag();
   std::vector<const HpeCiphertext*> cts(n);
   for (std::size_t r = 0; r < n; ++r) cts[r] = &indexes[r]->ct;
   std::vector<GtEl> dec(n);

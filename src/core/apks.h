@@ -51,7 +51,8 @@ class Apks {
  public:
   Apks(const Pairing& pairing, Schema schema, HpeOptions opts = {})
       : schema_(std::move(schema)),
-        hpe_(pairing, schema_.vector_length(), opts) {}
+        hpe_(pairing, schema_.vector_length(), opts),
+        match_flag_(derive_match_flag(pairing)) {}
 
   [[nodiscard]] const Schema& schema() const noexcept { return schema_; }
   [[nodiscard]] const Hpe& hpe() const noexcept { return hpe_; }
@@ -109,7 +110,10 @@ class Apks {
 
   // The public GT flag encrypted into every index; Search tests for it.
   // (Stands in for the paper's Msg||0^lambda padding check — see DESIGN.md.)
-  [[nodiscard]] GtEl match_flag() const;
+  // Derived once at construction: every scan block compares against it.
+  [[nodiscard]] const GtEl& match_flag() const noexcept {
+    return match_flag_;
+  }
 
  protected:
   [[nodiscard]] std::vector<Fq> encode_index_vector(
@@ -119,6 +123,12 @@ class Apks {
 
   Schema schema_;
   Hpe hpe_;
+
+ private:
+  // g_T^H("apks:match-flag").
+  [[nodiscard]] static GtEl derive_match_flag(const Pairing& pairing);
+
+  GtEl match_flag_;
 };
 
 }  // namespace apks

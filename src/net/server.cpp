@@ -442,6 +442,7 @@ void NetServer::handle_auth(IoLoop& loop, const std::shared_ptr<Conn>& conn,
     // ride the previous credential.
     conn->authed = false;
     conn->query = AnyQuery();
+    conn->digest = {};
     bump(&NetServerStats::auth_rejected);
   }
   send_frame(loop, conn, encode_frame(ack.encode()));
@@ -468,6 +469,7 @@ void NetServer::handle_search(IoLoop& loop, const std::shared_ptr<Conn>& conn,
   job.conn = conn;
   job.request = msg;
   job.query = conn->query;  // copy: a re-auth never races the scan
+  job.digest = conn->digest;
   job.set = shard_set();    // snapshot: a map swap never races the scan
   {
     std::lock_guard lock(jobs_mutex_);
@@ -533,6 +535,7 @@ void NetServer::handle_shard_search(IoLoop& loop,
   job.request.deadline_ms = msg.deadline_ms;
   job.request.partial_ok = msg.partial_ok;
   job.query = conn->query;  // copy: a re-auth never races the scan
+  job.digest = conn->digest;
   job.shard_scoped = true;
   job.shards = msg.shards;
   job.set = set;  // the set the request was validated against
@@ -662,10 +665,11 @@ void NetServer::run_search_job(const SearchJob& job) {
           shards.push_back(entry.first);
         }
       }
-      hits = scan_shards(*job.set, shards, job.query, control, end);
+      hits = scan_shards(*job.set, shards, job.query, job.digest, control,
+                         end);
     } else {
-      results = engine_->search_batch_unchecked_any({&job.query, 1}, &metrics,
-                                                    control);
+      results = engine_->search_batch_unchecked_any(
+          {&job.query, 1}, &metrics, control, {&job.digest, 1});
       if (metrics.deadline_exceeded) {
         end.status = WireStatus::kDeadlineExceeded;
         end.flags |= kResultDeadlineExceeded | kResultTruncated;
@@ -774,8 +778,8 @@ void NetServer::run_search_job(const SearchJob& job) {
 
 std::vector<ShardHit> NetServer::scan_shards(
     const ShardEngineSet& set, std::span<const std::uint32_t> shards,
-    const AnyQuery& query, const ServeControl& control,
-    ResultEndMsg& end) const {
+    const AnyQuery& query, const QueryDigest& digest,
+    const ServeControl& control, ResultEndMsg& end) const {
   std::vector<ShardHit> hits;
   const auto t0 = std::chrono::steady_clock::now();
   double wall_s = 0.0;
@@ -800,7 +804,7 @@ std::vector<ShardHit> NetServer::scan_shards(
     std::vector<std::vector<std::uint64_t>> ids;
     std::vector<std::vector<std::string>> refs =
         engine->search_batch_unchecked_any_ids({&query, 1}, &ids, &metrics,
-                                               sub);
+                                               sub, {&digest, 1});
     if (!metrics.per_query.empty()) {
       end.scanned += metrics.per_query[0].scanned;
       end.matched += metrics.per_query[0].matched;

@@ -215,6 +215,9 @@ class NetServer {
     std::weak_ptr<Conn> conn;
     SearchMsg request;
     AnyQuery query;  // copied at dispatch: an auth swap never races a scan
+    // The session's digest of `query`, computed once at kAuth and copied
+    // alongside it, so the engine never re-hashes the capability.
+    QueryDigest digest{};
     // kShardSearch jobs: reply with ShardChunkMsg frames (id-carrying hits)
     // for exactly these shards. Legacy jobs on a shard-backed server scan
     // every owned shard instead and reply with plain ResultChunkMsg frames.
@@ -255,8 +258,8 @@ class NetServer {
   // the engines throw.
   [[nodiscard]] std::vector<ShardHit> scan_shards(
       const ShardEngineSet& set, std::span<const std::uint32_t> shards,
-      const AnyQuery& query, const ServeControl& control,
-      ResultEndMsg& end) const;
+      const AnyQuery& query, const QueryDigest& digest,
+      const ServeControl& control, ResultEndMsg& end) const;
   // Total records across the serving engines (summed over owned shards for
   // a shard-backed server) — the hello ack's record count.
   [[nodiscard]] std::uint64_t served_records() const;

@@ -130,6 +130,50 @@ TEST_F(AuthorityTest, ServerVerifiesSignatures) {
   EXPECT_FALSE(verifier.verify(spoofed));
 }
 
+// The verifier hashes each issuer's identity point once, at
+// register_authority, and verifies against it: its verdicts equal
+// Ibs::verify by identity string, except that an unregistered issuer is
+// refused outright.
+TEST_F(AuthorityTest, CachedIssuerPointVerifyMatchesIbsVerify) {
+  CapabilityVerifier verifier(e_, ta_.ibs_params());
+  verifier.register_authority("hospital-A");
+  verifier.register_authority("hospital-A");  // re-registering is a no-op
+  verifier.register_authority("hospital-B");
+  const Ibs ibs(e_);
+  const auto check = [&](const char* what, const std::string& issuer,
+                         std::span<const std::uint8_t> message,
+                         const IbsSignature& sig, bool want) {
+    EXPECT_EQ(verifier.verify_message(message, issuer, sig), want) << what;
+    EXPECT_EQ(ibs.verify(ta_.ibs_params(), issuer, message, sig), want)
+        << what;
+  };
+
+  const auto good = lta_->delegate_for_user(
+      "peter", q_any(QueryTerm::equals("Diabetes")), rng_);
+  ASSERT_TRUE(good.has_value());
+  const std::vector<std::uint8_t> msg =
+      capability_message(e_, good->cap, good->issuer);
+  check("valid", "hospital-A", msg, good->sig, true);
+  check("wrong identity", "hospital-B", msg, good->sig, false);
+  std::vector<std::uint8_t> tampered_msg = msg;
+  tampered_msg.back() ^= 1;
+  check("tampered message", "hospital-A", tampered_msg, good->sig, false);
+  IbsSignature tampered_u = good->sig;
+  tampered_u.u = e_.curve().neg(tampered_u.u);
+  check("tampered u", "hospital-A", msg, tampered_u, false);
+  IbsSignature tampered_v = good->sig;
+  tampered_v.v = e_.curve().add(tampered_v.v, e_.curve().generator());
+  check("tampered v", "hospital-A", msg, tampered_v, false);
+
+  // A genuine signature from an issuer the verifier never registered.
+  const auto from_ta = ta_.issue(q_any(), rng_);
+  const std::vector<std::uint8_t> ta_msg =
+      capability_message(e_, from_ta.cap, from_ta.issuer);
+  EXPECT_TRUE(ibs.verify(ta_.ibs_params(), from_ta.issuer, ta_msg,
+                         from_ta.sig));
+  EXPECT_FALSE(verifier.verify_message(ta_msg, from_ta.issuer, from_ta.sig));
+}
+
 TEST_F(AuthorityTest, SignedCapabilityWireRoundTrip) {
   const auto cap = lta_->delegate_for_user(
       "peter", q_any(QueryTerm::equals("Diabetes")), rng_);

@@ -496,6 +496,56 @@ TEST_F(ClusterTest, ShardSearchAgainstPlainServerIsRefused) {
   for (auto& node : c.nodes) node->stop();
 }
 
+// One prepared-query cache per node: a node owning several shards prepares
+// a new capability once, not once per shard, and keeps it across a map
+// update — a newly assigned shard serves the capability unprepared.
+TEST_F(ClusterTest, NodePreparesEachCapabilityOnceAcrossItsShards) {
+  const SchemeRig& rig = env().apks_rig;
+  Cluster c = start_cluster(rig);
+  ClusterNode* node = c.nodes[0].get();
+  for (const auto& n : c.nodes) {
+    if (n->owned_shards().size() > node->owned_shards().size()) {
+      node = n.get();
+    }
+  }
+  const std::vector<std::uint32_t> owned = node->owned_shards();
+  ASSERT_GE(owned.size(), 2u);
+  ASSERT_LT(owned.size(), c.map.total_shards());
+
+  net::NetClient client;
+  client.connect("127.0.0.1", node->port(), 10000);
+  ASSERT_EQ(client.hello(rig.backend->kind()).status, WireStatus::kOk);
+  ASSERT_EQ(client.auth_unchecked(rig.backend->encode_query(rig.query)).status,
+            WireStatus::kOk);
+  const net::ShardRemoteResult first =
+      client.shard_search(owned, c.map.version(), c.map.total_shards());
+  ASSERT_EQ(first.status, WireStatus::kOk) << first.message;
+  // Any shard engine reports the counters of the cache they all share.
+  const auto engine = [&] {
+    return node->server().shard_set()->shards.front().second;
+  };
+  EXPECT_EQ(engine()->cache_misses(), 1u);
+  EXPECT_EQ(engine()->cache_hits(), owned.size() - 1);
+  EXPECT_EQ(engine()->cache_size(), 1u);
+
+  // R = 3 over 3 nodes: this node now owns every shard, some newly loaded.
+  const ClusterMap all(c.map.nodes(), c.map.total_shards(), 3,
+                       c.map.version() + 1);
+  node->apply_map(all);
+  const std::vector<std::uint32_t> every = node->owned_shards();
+  ASSERT_EQ(every.size(), c.map.total_shards());
+  const net::ShardRemoteResult second =
+      client.shard_search(every, all.version(), all.total_shards());
+  ASSERT_EQ(second.status, WireStatus::kOk) << second.message;
+  std::vector<std::string> refs;
+  for (const net::ShardHit& hit : second.hits) refs.push_back(hit.ref);
+  EXPECT_EQ(refs, rig.store->search_any(rig.query));
+  EXPECT_EQ(engine()->cache_misses(), 1u);
+  EXPECT_EQ(engine()->cache_size(), 1u);
+
+  for (auto& n : c.nodes) n->stop();
+}
+
 // --- chaos -------------------------------------------------------------------
 
 TEST_F(ClusterTest, ClusterChaosMidBatchNodeFaultFailsOver) {

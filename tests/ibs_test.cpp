@@ -83,5 +83,45 @@ TEST_F(IbsTest, InfinitySignatureRejected) {
   EXPECT_FALSE(ibs_.verify(params_, "hospital-A", bytes("m"), sig));
 }
 
+// A verifier hashes each issuer's identity point once and verifies against
+// the point; that must accept and reject exactly what the identity-string
+// verify does.
+TEST_F(IbsTest, IdentityPointVerifyMatchesIdentityVerify) {
+  const auto key = ibs_.extract(msk_, "hospital-A");
+  const auto msg = bytes("capability bytes");
+  const auto sig = ibs_.sign(key, msg, rng_);
+  const AffinePoint qid_a = ibs_.identity_point("hospital-A");
+  const AffinePoint qid_b = ibs_.identity_point("hospital-B");
+  EXPECT_EQ(ibs_.extract(msk_, "hospital-A").d,
+            e_.curve().mul_fq(qid_a, msk_));
+
+  auto tampered_u = sig;
+  tampered_u.u = e_.curve().neg(sig.u);
+  auto tampered_v = sig;
+  tampered_v.v = e_.curve().add(sig.v, e_.curve().generator());
+  struct Case {
+    const char* what;
+    std::string_view identity;
+    const AffinePoint* qid;
+    std::vector<std::uint8_t> message;
+    IbsSignature sig;
+    bool want;
+  };
+  const Case cases[] = {
+      {"valid", "hospital-A", &qid_a, msg, sig, true},
+      {"wrong identity", "hospital-B", &qid_b, msg, sig, false},
+      {"tampered message", "hospital-A", &qid_a, bytes("capability bytez"),
+       sig, false},
+      {"tampered u", "hospital-A", &qid_a, msg, tampered_u, false},
+      {"tampered v", "hospital-A", &qid_a, msg, tampered_v, false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ibs_.verify(params_, c.identity, c.message, c.sig), c.want)
+        << c.what;
+    EXPECT_EQ(ibs_.verify(params_, *c.qid, c.message, c.sig), c.want)
+        << c.what;
+  }
+}
+
 }  // namespace
 }  // namespace apks

@@ -242,6 +242,68 @@ TEST_F(NetTest, ResultStreamingAcrossChunks) {
   EXPECT_EQ(remote.refs, local[0]);
 }
 
+// A session computes its query digest once per kAuth and every search job
+// carries it to the engine. Re-authenticating must swap digest and query
+// together: auth A → search → auth B → search → auth A → search answers
+// for the capability authorized last, on the plain and the shard-scoped
+// path alike.
+TEST_F(NetTest, ReauthSwapsTheSessionDigestWithTheQuery) {
+  NetEnv& e = env();
+  const std::vector<PlainIndex> rows = nursery_rows();
+  const AnyQuery qa = e.apks_query;
+  const AnyQuery qb = AnyQuery::own(
+      SchemeKind::kApks,
+      e.ta.issue(nursery_point_query(rows[(3 * 769) % rows.size()]), e.rng)
+          .cap);
+  const SearchEngine oracle(e.apks_server, {.threads = 1, .cache_capacity = 0});
+  const std::vector<std::string> want_a =
+      oracle.search_batch_unchecked_any({&qa, 1})[0];
+  const std::vector<std::string> want_b =
+      oracle.search_batch_unchecked_any({&qb, 1})[0];
+  ASSERT_NE(want_a, want_b);
+
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "kShardSearch" : "kSearch");
+    const SearchEngine engine(e.apks_server, {.threads = 2, .block_records = 2});
+    NetServerOptions opts = unchecked_options();
+    if (sharded) {
+      auto set = std::make_shared<net::ShardEngineSet>();
+      set->map_version = 1;
+      set->total_shards = 1;
+      set->shards = {{0, &engine}};
+      opts.shard_set = std::move(set);
+    }
+    NetServer net(engine, opts);
+    NetClient client;
+    client.connect("127.0.0.1", net.port(), 10000);
+    ASSERT_EQ(client.hello(SchemeKind::kApks).status, WireStatus::kOk);
+
+    const std::uint32_t shard = 0;
+    for (const AnyQuery* q : {&qa, &qb, &qa}) {
+      const std::vector<std::string>& want = q == &qa ? want_a : want_b;
+      const net::AuthAckMsg auth =
+          client.auth_unchecked(e.apks_backend.encode_query(*q));
+      ASSERT_EQ(auth.status, WireStatus::kOk) << auth.message;
+      EXPECT_EQ(auth.digest, e.apks_backend.digest(*q));
+      std::vector<std::string> got;
+      if (sharded) {
+        const net::ShardRemoteResult remote =
+            client.shard_search({&shard, 1}, 1, 1);
+        ASSERT_EQ(remote.status, WireStatus::kOk) << remote.message;
+        for (const net::ShardHit& hit : remote.hits) got.push_back(hit.ref);
+      } else {
+        const RemoteResult remote = client.search();
+        ASSERT_EQ(remote.status, WireStatus::kOk) << remote.message;
+        got = remote.refs;
+      }
+      EXPECT_EQ(got, want);
+    }
+    // A and B were each prepared once; the second A search hit the cache.
+    EXPECT_EQ(engine.cache_misses(), 2u);
+    EXPECT_EQ(engine.cache_hits(), 1u);
+  }
+}
+
 // --- session establishment ---------------------------------------------------
 
 TEST_F(NetTest, SignedSessionAuthAcceptsAndRejects) {

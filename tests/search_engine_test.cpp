@@ -305,6 +305,107 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   EXPECT_EQ(hot.verdict_puts, 0u);
 }
 
+// The worker count follows the pairing work left after the verdict probe:
+// a batch the verdict cache answers entirely runs on the calling thread
+// with zero pairings, while an unmemoized segment or an unsealed record
+// brings the configured workers back. Results stay identical either way,
+// with or without a caller-supplied digest.
+TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
+  const TestDir dir("engine-vcache-threads");
+  ShardedStoreOptions sopts;
+  sopts.shards = 1;
+  sopts.segment.segment_max_bytes = 1;  // seal after every append
+  ShardedStore store(e_, dir.path(), sopts);
+  auto put = [&](std::vector<std::string> values, std::string ref) {
+    (void)store.append(std::move(ref),
+                       apks_.gen_index(ta_.public_key(),
+                                       PlainIndex{std::move(values)}, rng_));
+  };
+  put({"Diabetes", "Male", "Hospital A"}, "doc-bob");
+  put({"Diabetes", "Female", "Hospital A"}, "doc-carol");
+  put({"Flu", "Male", "Hospital A"}, "doc-dave");
+  put({"Diabetes", "Male", "Hospital B"}, "doc-erin");
+  store.sync();
+  (void)store.compact();  // seals the active tail too
+
+  CloudServer server(apks_, CapabilityVerifier(e_, ta_.ibs_params()));
+  ASSERT_EQ(server.load_from(store), 4u);
+
+  SearchEngine::Options opts;
+  opts.threads = 2;
+  opts.block_records = 1;
+  opts.verdict_cache_bytes = 1 << 20;
+  const SearchEngine engine(server, opts);
+  // The oracle scans every record live, with no cache of any kind.
+  const SearchEngine oracle(server, {.threads = 1, .cache_capacity = 0});
+  const SearchBackend& backend = server.backend();
+
+  const AnyQuery qa = AnyQuery::own(
+      SchemeKind::kApks, issue(q3(QueryTerm::equals("Diabetes"))).cap);
+  const AnyQuery qb = AnyQuery::own(
+      SchemeKind::kApks, issue(q3(QueryTerm::any(),
+                                  QueryTerm::equals("Male"))).cap);
+  const std::vector<AnyQuery> both = {qa, qb};
+  const std::vector<QueryDigest> digests = {backend.digest(qa),
+                                            backend.digest(qb)};
+  const auto want = oracle.search_batch_unchecked_any(both);
+  ASSERT_NE(want[0], want[1]);
+
+  // Cold: every segment is unmemoized, so the configured workers scan.
+  BatchMetrics cold;
+  EXPECT_EQ(engine.search_batch_unchecked_any({&qa, 1}, &cold)[0], want[0]);
+  EXPECT_EQ(cold.threads, 2u);
+  EXPECT_GT(cold.ops.final_exp, 0u);
+  EXPECT_EQ(cold.verdict_puts, server.segment_table().size());
+
+  // Hot: the verdict cache answers every record — calling thread, zero
+  // pairings — with and without the digest supplied.
+  for (const bool supplied : {false, true}) {
+    BatchMetrics hot;
+    const auto got = engine.search_batch_unchecked_any(
+        {&qa, 1}, &hot, {},
+        supplied ? std::span<const QueryDigest>(digests.data(), 1)
+                 : std::span<const QueryDigest>());
+    EXPECT_EQ(got[0], want[0]) << "supplied=" << supplied;
+    EXPECT_EQ(hot.threads, 1u) << "supplied=" << supplied;
+    EXPECT_EQ(hot.verdict_hits, 4u) << "supplied=" << supplied;
+    EXPECT_EQ(hot.ops.miller + hot.ops.multi_miller + hot.ops.final_exp, 0u)
+        << "supplied=" << supplied;
+  }
+
+  // One memoized and one unmemoized query in a batch: pairing work is
+  // left, so the workers come back; the ids path agrees with the plain one.
+  BatchMetrics mixed;
+  std::vector<std::vector<std::uint64_t>> ids;
+  const auto got_mixed = engine.search_batch_unchecked_any_ids(
+      both, &ids, &mixed, {}, digests);
+  EXPECT_EQ(got_mixed, want);
+  EXPECT_EQ(mixed.threads, 2u);
+  EXPECT_EQ(ids[0].size(), want[0].size());
+  EXPECT_EQ(ids[1].size(), want[1].size());
+
+  // An unsealed tail record is always scanned live, even when every sealed
+  // segment is memoized for every query.
+  (void)server.store(apks_.gen_index(ta_.public_key(),
+                                     PlainIndex{{"Diabetes", "Male",
+                                                 "Hospital C"}},
+                                     rng_),
+                     "doc-gil");
+  const auto want_tail = oracle.search_batch_unchecked_any(both);
+  BatchMetrics tail;
+  EXPECT_EQ(engine.search_batch_unchecked_any(both, &tail, {}, digests),
+            want_tail);
+  EXPECT_EQ(tail.threads, 2u);
+  EXPECT_EQ(tail.verdict_hits, 2 * 4u);
+  EXPECT_GT(tail.ops.final_exp, 0u);
+
+  // A digest span that does not cover the batch is a caller error.
+  EXPECT_THROW((void)engine.search_batch_unchecked_any(
+                   both, nullptr, {},
+                   std::span<const QueryDigest>(digests.data(), 1)),
+               std::invalid_argument);
+}
+
 // The lifetime counters are snapshotted under one lock; concurrent batches
 // must produce a final snapshot whose outcome counts exactly add up (a torn
 // view would undercount one field while overcounting another).

@@ -7,10 +7,14 @@
 # multi-pairing/SIMD-kernel and batched point-decode tests with the lane
 # engines forced on and off (APKS_FORCE_SCALAR), and a serving stage for
 # the network layer (TSan server+client loopback tests, the ASan
-# hostile-frame sweep, and the serving load-generator smoke artifact).
+# hostile-frame sweep, and the serving load-generator smoke artifact),
+# plus the end-to-end benchmark's --check run. Smoke and sanitized bench
+# artifacts are written into the build tree they came from; the committed
+# BENCH_*.json files come only from Release, non-smoke runs.
 # Run from the repository root:
 #
-#   tools/ci.sh            # tier-1 + store + TSan + UBSan + pairing + chaos + serving
+#   tools/ci.sh            # tier-1 + store + TSan + UBSan + pairing + chaos +
+#                          #   serving + cluster + e2e
 #   tools/ci.sh --store    # store stage only (ASan + crash recovery + bench
 #                          #   smoke, artifact under build-asan/)
 #   tools/ci.sh --tsan     # TSan cloud tests only
@@ -21,6 +25,8 @@
 #   tools/ci.sh --cluster  # cluster tier: ASan multi-node loopback suite +
 #                          #   cluster chaos filters, TSan self-healing suite
 #                          #   (heartbeats/reconfig/hedged reads) + bench artifact
+#   tools/ci.sh --e2e      # end-to-end benchmark check: every workload once,
+#                          #   results asserted against the oracle
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,6 +39,7 @@ STAGE=all
 [[ "${1:-}" == "--chaos" ]] && STAGE=chaos
 [[ "${1:-}" == "--serving" ]] && STAGE=serving
 [[ "${1:-}" == "--cluster" ]] && STAGE=cluster
+[[ "${1:-}" == "--e2e" ]] && STAGE=e2e
 
 # configure DIR [extra cmake args...]
 #
@@ -69,21 +76,25 @@ if [[ $STAGE == all ]]; then
     --repeat until-fail:2)
 
   echo "=== bench smoke: MSM engine comparison + JSON artifact ==="
-  ./build/bench/bench_msm --smoke --json=BENCH_msm.json
-  [[ -s BENCH_msm.json ]] || { echo "BENCH_msm.json missing/empty"; exit 1; }
+  ./build/bench/bench_msm --smoke --json=build/BENCH_msm.json
+  [[ -s build/BENCH_msm.json ]] ||
+    { echo "build/BENCH_msm.json missing/empty"; exit 1; }
   ./build/bench/fig8b_encrypt --smoke >/dev/null
 
   echo "=== bench smoke: cross-scheme serving comparison + JSON artifact ==="
-  ./build/bench/bench_schemes --smoke --json=BENCH_schemes.json
-  [[ -s BENCH_schemes.json ]] || { echo "BENCH_schemes.json missing/empty"; exit 1; }
+  ./build/bench/bench_schemes --smoke --json=build/BENCH_schemes.json
+  [[ -s build/BENCH_schemes.json ]] ||
+    { echo "build/BENCH_schemes.json missing/empty"; exit 1; }
 
   echo "=== bench smoke: pairing kernel / SIMD engines + JSON artifact ==="
-  ./build/bench/bench_pairing --smoke --json=BENCH_pairing.json
-  [[ -s BENCH_pairing.json ]] || { echo "BENCH_pairing.json missing/empty"; exit 1; }
+  ./build/bench/bench_pairing --smoke --json=build/BENCH_pairing.json
+  [[ -s build/BENCH_pairing.json ]] ||
+    { echo "build/BENCH_pairing.json missing/empty"; exit 1; }
 
   echo "=== bench smoke: verdict-cache speedup + equivalence + JSON artifact ==="
-  ./build/bench/bench_cache --smoke --json=BENCH_cache.json
-  [[ -s BENCH_cache.json ]] || { echo "BENCH_cache.json missing/empty"; exit 1; }
+  ./build/bench/bench_cache --smoke --json=build/BENCH_cache.json
+  [[ -s build/BENCH_cache.json ]] ||
+    { echo "build/BENCH_cache.json missing/empty"; exit 1; }
 fi
 
 if [[ $STAGE == all || $STAGE == store ]]; then
@@ -146,8 +157,9 @@ if [[ $STAGE == all || $STAGE == chaos ]]; then
     echo "--- $t (ASan) ---"
     ./build-asan/tests/"$t"
   done
-  ./build-asan/bench/bench_faults --smoke --json=BENCH_faults.json
-  [[ -s BENCH_faults.json ]] || { echo "BENCH_faults.json missing/empty"; exit 1; }
+  ./build-asan/bench/bench_faults --smoke --json=build-asan/BENCH_faults.json
+  [[ -s build-asan/BENCH_faults.json ]] ||
+    { echo "build-asan/BENCH_faults.json missing/empty"; exit 1; }
 fi
 if [[ $STAGE == all || $STAGE == serving ]]; then
   echo "=== serving: TSan network server/client loopback tests ==="
@@ -168,8 +180,9 @@ if [[ $STAGE == all || $STAGE == serving ]]; then
   echo "=== bench smoke: serving load generator + JSON artifact ==="
   configure build
   cmake --build build -j "$JOBS" --target bench_serving
-  ./build/bench/bench_serving --smoke --json=BENCH_serving.json
-  [[ -s BENCH_serving.json ]] || { echo "BENCH_serving.json missing/empty"; exit 1; }
+  ./build/bench/bench_serving --smoke --json=build/BENCH_serving.json
+  [[ -s build/BENCH_serving.json ]] ||
+    { echo "build/BENCH_serving.json missing/empty"; exit 1; }
 fi
 if [[ $STAGE == all || $STAGE == cluster ]]; then
   echo "=== cluster: ASan multi-node loopback suite (placement + scatter-gather) ==="
@@ -191,7 +204,12 @@ if [[ $STAGE == all || $STAGE == cluster ]]; then
   echo "=== bench smoke: cluster scatter-gather + JSON artifact ==="
   configure build
   cmake --build build -j "$JOBS" --target bench_cluster
-  ./build/bench/bench_cluster --smoke --json=BENCH_cluster.json
-  [[ -s BENCH_cluster.json ]] || { echo "BENCH_cluster.json missing/empty"; exit 1; }
+  ./build/bench/bench_cluster --smoke --json=build/BENCH_cluster.json
+  [[ -s build/BENCH_cluster.json ]] ||
+    { echo "build/BENCH_cluster.json missing/empty"; exit 1; }
+fi
+if [[ $STAGE == all || $STAGE == e2e ]]; then
+  echo "=== e2e: end-to-end benchmark check (every workload, oracle-asserted) ==="
+  bash e2ebench/run.sh --check --benchmark-json BENCHMARK.json
 fi
 echo "CI OK"
