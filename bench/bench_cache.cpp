@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   ApksPublicKey pk;
   ApksMasterKey msk;
   scheme.setup(rng, pk, msk);
+  const ApksBackend backend(scheme);
 
   const std::vector<PlainIndex> rows = nursery_rows();
   auto make_index = [&](std::size_t i) {
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
   ShardedStoreOptions opts;
   opts.shards = kShards;
   opts.segment.segment_max_bytes = 1;
-  auto store = std::make_unique<ShardedStore>(pairing, dir, opts);
+  auto store = std::make_unique<ShardedStore>(backend, dir, opts);
   for (std::size_t i = 0; i < kRecords; ++i) {
     (void)store->append("doc-" + std::to_string(i), make_index(i));
   }
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
   // server — the SAME shared cache keeps serving (sealed identities are
   // durable, so its entries stay valid).
   store.reset();
-  store = std::make_unique<ShardedStore>(pairing, dir, opts);
+  store = std::make_unique<ShardedStore>(backend, dir, opts);
   CloudServer server2(scheme, CapabilityVerifier(pairing, IbsPublicParams{}));
   (void)server2.load_from(*store);
   {

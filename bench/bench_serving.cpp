@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   ShardedStoreOptions store_opts;
   store_opts.shards = 2;
   store_opts.segment.segment_max_bytes = 1;
-  ShardedStore store(pairing, dir, store_opts);
+  ShardedStore store(backend, dir, store_opts);
   for (std::size_t i = 0; i < kRecords; ++i) {
     (void)store.append("doc-" + std::to_string(i),
                        scheme.gen_index(pk, rows[(i * 739) % rows.size()], rng));

@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   ApksPublicKey pk;
   ApksMasterKey msk;
   scheme.setup(rng, pk, msk);
+  const ApksBackend backend(scheme);
 
   // Pre-generate the workload so ingest times I/O, not gen_index.
   const std::vector<PlainIndex> rows = nursery_rows();
@@ -58,6 +59,7 @@ int main(int argc, char** argv) {
   }
   const Capability cap =
       scheme.gen_cap(msk, nursery_worst_case_query(1, rng), rng);
+  const AnyQuery query = AnyQuery::ref(SchemeKind::kApks, &cap);
 
   const fs::path dir =
       fs::temp_directory_path() /
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
   {
     ShardedStoreOptions opts;
     opts.shards = kShards;
-    ShardedStore store(pairing, dir, opts);
+    ShardedStore store(backend, dir, opts);
     const Timer t;
     for (std::size_t i = 0; i < kRecords; ++i) {
       (void)store.append(refs[i], indexes[i]);
@@ -102,7 +104,7 @@ int main(int argc, char** argv) {
   Timer reload_timer;
   ShardedStoreOptions opts;
   opts.shards = kShards;
-  ShardedStore store(pairing, dir, opts);
+  ShardedStore store(backend, dir, opts);
   CloudServer server(scheme, CapabilityVerifier(pairing, IbsPublicParams{}));
   const std::size_t loaded = server.load_from(store);
   const double reload_s = reload_timer.seconds();
@@ -123,10 +125,10 @@ int main(int argc, char** argv) {
       [&] { (void)server.search_unchecked(cap); }, args.smoke ? 200 : 500,
       args.smoke ? 3 : 8);
   const double disk_s = time_op_median(
-      [&] { (void)store.search(scheme, cap, 1); }, args.smoke ? 200 : 500,
+      [&] { (void)store.search_any(query, 1); }, args.smoke ? 200 : 500,
       args.smoke ? 3 : 8);
   const double disk_par_s = time_op_median(
-      [&] { (void)store.search(scheme, cap, kShards); },
+      [&] { (void)store.search_any(query, kShards); },
       args.smoke ? 200 : 500, args.smoke ? 3 : 8);
   std::printf("scan in-memory: %.4f s; disk 1 thread: %.4f s (%.2fx); "
               "disk %u threads: %.4f s\n",

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -134,7 +135,8 @@ struct JsonValue {
 // ordered list of flat rows. Numbers render with %.9g, which round-trips
 // timings and every integer the benches produce. The meta opens with the
 // run's provenance — build type, sanitizer, effective SIMD engine, smoke
-// flag — so a committed BENCH_*.json says what kind of run made it.
+// flag, core count and source commit — so a committed BENCH_*.json says
+// what kind of run made it.
 class JsonReport {
  public:
   JsonReport(std::string bench, const BenchArgs& args)
@@ -144,6 +146,8 @@ class JsonReport {
                                                         : "none");
     set_meta("simd_effective", simd_level_name(simd_level()));
     set_meta("smoke", args.smoke ? 1 : 0);
+    set_meta("nproc", std::thread::hardware_concurrency());
+    set_meta("git_sha", APKS_GIT_SHA);
   }
 
   void set_meta(const std::string& key, JsonValue value) {

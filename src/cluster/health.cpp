@@ -89,10 +89,8 @@ void HealthMonitor::tick() {
         auto client = std::make_unique<net::NetClient>();
         client->connect(info.host, info.port, options_.ping_timeout_ms);
         const net::HelloAckMsg hello = client->hello(scheme_);
-        if (hello.status != net::WireStatus::kOk ||
-            hello.version < 3) {
-          throw ServingError(ErrorCode::kUnavailable,
-                             "hello refused or pre-v3 peer");
+        if (hello.status != net::WireStatus::kOk) {
+          throw ServingError(ErrorCode::kUnavailable, "hello refused");
         }
         *slot = std::move(client);
       }

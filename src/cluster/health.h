@@ -12,7 +12,7 @@
 //
 //   * HealthMonitor — the coordinator-side heartbeat driver: a background
 //     thread (or a manual tick() when interval_ms == 0, the deterministic
-//     test mode) that keeps one dedicated v3 NetClient per node and sends
+//     test mode) that keeps one dedicated NetClient per node and sends
 //     kPing every interval. Pongs also report the node's current
 //     ClusterMap version and in-flight job count, so the monitor doubles
 //     as a cheap map-agreement and load probe.

@@ -6,11 +6,11 @@
 // partitioning — id % S — must match the map's shard count, so a store
 // shard IS a cluster shard), and serves them over the PR-8 network layer:
 // one CloudServer + SearchEngine per owned shard, wired into NetServer
-// through a ShardEngineSet. v2 coordinators issue shard-scoped
-// kShardSearch RPCs; legacy v1 clients still get a plain kSearch answer
-// covering the node's subset of the store, merged by record id locally.
+// through a ShardEngineSet. Coordinators issue shard-scoped kShardSearch
+// RPCs; a plain kSearch is refused with kBadRequest, since the node holds
+// only a subset of the store.
 //
-// Live reconfiguration: a v3 kMapUpdate (or a direct apply_map call)
+// Live reconfiguration: a kMapUpdate (or a direct apply_map call)
 // carrying a strictly newer map swaps the node's serving set in place —
 // no restart. Still-owned shards keep their loaded engines (shared
 // ownership moves to the new set), newly-assigned shards are loaded from

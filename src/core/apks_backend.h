@@ -32,23 +32,6 @@ class ApksBackend : public SearchBackend {
   [[nodiscard]] SchemeKind kind() const noexcept override { return kind_; }
   [[nodiscard]] const Apks& scheme() const noexcept { return *scheme_; }
 
-  // Typed-to-erased bridges for the legacy APKS-typed serving API.
-  [[nodiscard]] AnyIndex wrap_index(EncryptedIndex index) const {
-    return AnyIndex::own(kind(), std::move(index));
-  }
-  [[nodiscard]] AnyQuery wrap_query(Capability cap) const {
-    return AnyQuery::own(kind(), std::move(cap));
-  }
-  [[nodiscard]] const EncryptedIndex& unwrap_index(
-      const AnyIndex& index) const {
-    require_index(index);
-    return index.as<EncryptedIndex>();
-  }
-  [[nodiscard]] const Capability& unwrap_query(const AnyQuery& query) const {
-    require_query(query);
-    return query.as<Capability>();
-  }
-
   [[nodiscard]] std::vector<std::uint8_t> encode_index(
       const AnyIndex& index) const override;
   [[nodiscard]] AnyIndex decode_index(

@@ -24,13 +24,6 @@ class MrqedBackend : public SearchBackend {
   }
   [[nodiscard]] const Mrqed& scheme() const noexcept { return *scheme_; }
 
-  [[nodiscard]] AnyIndex wrap_index(MrqedCiphertext ct) const {
-    return AnyIndex::own(kind(), std::move(ct));
-  }
-  [[nodiscard]] AnyQuery wrap_query(MrqedKey key) const {
-    return AnyQuery::own(kind(), std::move(key));
-  }
-
   [[nodiscard]] std::vector<std::uint8_t> encode_index(
       const AnyIndex& index) const override;
   [[nodiscard]] AnyIndex decode_index(

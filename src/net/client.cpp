@@ -183,9 +183,8 @@ std::vector<std::uint8_t> NetClient::recv_frame() {
   }
 }
 
-HelloAckMsg NetClient::hello(SchemeKind scheme, std::uint8_t version) {
+HelloAckMsg NetClient::hello(SchemeKind scheme) {
   HelloMsg msg;
-  msg.version = version;
   msg.scheme = scheme;
   send_frame(msg.encode());
   const auto payload = recv_frame();

@@ -80,9 +80,8 @@ class NetClient {
 
   // Version/scheme handshake; must be the first exchange. A non-kOk ack
   // means the server refused the session (its message says why) and will
-  // close the connection. `version` lets compatibility tests speak the
-  // legacy protocol; cluster coordinators need the default (v2).
-  HelloAckMsg hello(SchemeKind scheme, std::uint8_t version = kNetVersion);
+  // close the connection. Always speaks kNetVersion.
+  HelloAckMsg hello(SchemeKind scheme);
 
   // Establishes the session query. `query` is the backend wire codec
   // (encode_query). Signed mode carries the issuing authority and the IBS
@@ -100,24 +99,24 @@ class NetClient {
   RemoteResult search(std::uint64_t deadline_ms = 0, bool partial_ok = false);
 
   // Cluster mode: one shard-scoped search against a node that owns
-  // `shards` under the (map_version, total_shards) placement. Requires a
-  // v2 session. Hits come back ascending by record id.
+  // `shards` under the (map_version, total_shards) placement. Hits come
+  // back ascending by record id.
   ShardRemoteResult shard_search(std::span<const std::uint32_t> shards,
                                  std::uint64_t map_version,
                                  std::uint32_t total_shards,
                                  std::uint64_t deadline_ms = 0,
                                  bool partial_ok = false);
 
-  // Heartbeat round-trip (v3 session): sends kPing, blocks for the kPong.
-  // The pong carries the node's current map version and its in-flight job
-  // count — the health monitor's raw signal. Throws on transport failure.
+  // Heartbeat round-trip: sends kPing, blocks for the kPong. The pong
+  // carries the node's current map version and its in-flight job count —
+  // the health monitor's raw signal. Throws on transport failure.
   PongMsg ping();
 
-  // Pushes a serialized ClusterMap to the node (v3 session). The node
-  // applies it iff its version is strictly newer than the node's own map
-  // and acks with its post-decision version either way; application
-  // (loading newly-assigned shards) happens on the node's worker pool, so
-  // this blocks until the handoff completed. Throws on transport failure.
+  // Pushes a serialized ClusterMap to the node. The node applies it iff
+  // its version is strictly newer than the node's own map and acks with
+  // its post-decision version either way; application (loading
+  // newly-assigned shards) happens on the node's worker pool, so this
+  // blocks until the handoff completed. Throws on transport failure.
   MapUpdateAckMsg push_map(std::span<const std::uint8_t> map_bytes);
 
   // Thread-safe cancellation hook: shuts down the socket (SHUT_RDWR)

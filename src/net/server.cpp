@@ -51,9 +51,6 @@ struct NetServer::Conn {
   std::size_t loop = 0;
   enum class State : std::uint8_t { kAwaitHello, kReady };
   State state = State::kAwaitHello;
-  // Negotiated at hello: the session speaks min(client, server) semantics.
-  // v1 sessions never see the v2 shard messages.
-  std::uint8_t version = kNetVersion;
   bool authed = false;
   bool failed = false;            // terminal status queued; input ignored
   bool close_after_flush = false;
@@ -313,11 +310,10 @@ void NetServer::handle_payload(IoLoop& loop, const std::shared_ptr<Conn>& conn,
         HelloAckMsg ack;
         ack.scheme = backend_->kind();
         ack.records = served_records();
-        if (hello.version < kNetVersionMin || hello.version > kNetVersion) {
+        if (hello.version != kNetVersion) {
           ack.status = WireStatus::kBadRequest;
           ack.message = "protocol version " + std::to_string(hello.version) +
                         " unsupported (server speaks " +
-                        std::to_string(kNetVersionMin) + ".." +
                         std::to_string(kNetVersion) + ")";
         } else if (hello.scheme != backend_->kind()) {
           ack.status = WireStatus::kBadRequest;
@@ -325,12 +321,6 @@ void NetServer::handle_payload(IoLoop& loop, const std::shared_ptr<Conn>& conn,
                         std::string(scheme_name(hello.scheme)) +
                         "', server '" +
                         std::string(scheme_name(backend_->kind())) + "'";
-        }
-        if (ack.status == WireStatus::kOk) {
-          // Speak the client's version for the rest of the session; the
-          // echoed ack version is the negotiation result.
-          conn->version = hello.version;
-          ack.version = hello.version;
         }
         send_frame(loop, conn, encode_frame(ack.encode()));
         if (ack.status != WireStatus::kOk) {
@@ -352,18 +342,10 @@ void NetServer::handle_payload(IoLoop& loop, const std::shared_ptr<Conn>& conn,
             handle_search(loop, conn, SearchMsg::decode(frame.body));
             return;
           case MsgType::kShardSearch:
-            if (conn->version < 2) {
-              throw std::invalid_argument(
-                  "shard search requires protocol version 2");
-            }
             handle_shard_search(loop, conn,
                                 ShardSearchMsg::decode(frame.body));
             return;
           case MsgType::kPing: {
-            if (conn->version < 3) {
-              throw std::invalid_argument(
-                  "ping requires protocol version 3");
-            }
             // Answered inline on the io thread, before auth: a heartbeat
             // measures event-loop liveness, not scan backlog or session
             // credentials.
@@ -378,10 +360,6 @@ void NetServer::handle_payload(IoLoop& loop, const std::shared_ptr<Conn>& conn,
             return;
           }
           case MsgType::kMapUpdate:
-            if (conn->version < 3) {
-              throw std::invalid_argument(
-                  "map update requires protocol version 3");
-            }
             handle_map_update(loop, conn, MapUpdateMsg::decode(frame.body));
             return;
           default:
@@ -465,12 +443,17 @@ void NetServer::handle_search(IoLoop& loop, const std::shared_ptr<Conn>& conn,
     refuse(WireStatus::kShutdown, "server is draining");
     return;
   }
+  // The mirror of a plain server refusing kShardSearch: a node's records
+  // are a subset of the store, so only shard-scoped RPCs may read them.
+  if (shard_set() != nullptr) {
+    refuse(WireStatus::kBadRequest, "node serves shard searches only");
+    return;
+  }
   SearchJob job;
   job.conn = conn;
   job.request = msg;
   job.query = conn->query;  // copy: a re-auth never races the scan
   job.digest = conn->digest;
-  job.set = shard_set();    // snapshot: a map swap never races the scan
   {
     std::lock_guard lock(jobs_mutex_);
     if (jobs_closed_) {
@@ -536,7 +519,6 @@ void NetServer::handle_shard_search(IoLoop& loop,
   job.request.partial_ok = msg.partial_ok;
   job.query = conn->query;  // copy: a re-auth never races the scan
   job.digest = conn->digest;
-  job.shard_scoped = true;
   job.shards = msg.shards;
   job.set = set;  // the set the request was validated against
   {
@@ -654,18 +636,10 @@ void NetServer::run_search_job(const SearchJob& job) {
   BatchMetrics metrics;
   try {
     if (sharded) {
-      // Shard-backed server: scan the requested shards — every owned shard
-      // for a legacy kSearch session — and merge the hits by record id.
-      // Everything goes through the job's snapshot of the set, so a map
-      // swap mid-scan is invisible here.
-      std::vector<std::uint32_t> shards = job.shards;
-      if (!job.shard_scoped) {
-        shards.clear();
-        for (const auto& entry : job.set->shards) {
-          shards.push_back(entry.first);
-        }
-      }
-      hits = scan_shards(*job.set, shards, job.query, job.digest, control,
+      // kShardSearch: scan the requested shards and merge the hits by
+      // record id. Everything goes through the job's snapshot of the set,
+      // so a map swap mid-scan is invisible here.
+      hits = scan_shards(*job.set, job.shards, job.query, job.digest, control,
                          end);
     } else {
       results = engine_->search_batch_unchecked_any(
@@ -720,8 +694,8 @@ void NetServer::run_search_job(const SearchJob& job) {
   const bool stream_results =
       end.status == WireStatus::kOk ||
       ((end.flags & kResultTruncated) != 0 && job.request.partial_ok);
-  if (stream_results && job.shard_scoped) {
-    // v2 shard response: id-carrying hit chunks.
+  if (stream_results && sharded) {
+    // Shard response: id-carrying hit chunks.
     for (std::size_t lo = 0; lo < hits.size();
          lo += options_.result_chunk_refs) {
       ShardChunkMsg chunk;
@@ -730,20 +704,6 @@ void NetServer::run_search_job(const SearchJob& job) {
           std::min(hits.size(), lo + options_.result_chunk_refs);
       for (std::size_t i = lo; i < hi; ++i) {
         chunk.hits.push_back(std::move(hits[i]));
-      }
-      frames.push_back(encode_frame(chunk.encode()));
-    }
-  } else if (stream_results && sharded) {
-    // Legacy session against a shard-backed server: the merged hits drop
-    // their ids and stream as plain ref chunks.
-    for (std::size_t lo = 0; lo < hits.size();
-         lo += options_.result_chunk_refs) {
-      ResultChunkMsg chunk;
-      chunk.request_id = job.request.request_id;
-      const std::size_t hi =
-          std::min(hits.size(), lo + options_.result_chunk_refs);
-      for (std::size_t i = lo; i < hi; ++i) {
-        chunk.refs.push_back(std::move(hits[i].ref));
       }
       frames.push_back(encode_frame(chunk.encode()));
     }

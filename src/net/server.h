@@ -67,11 +67,10 @@ inline constexpr const char* kSiteWrite = "net.write";
 // Cluster node role (DESIGN.md §5i): the shards this server instance owns
 // under one ClusterMap, each backed by its own SearchEngine over exactly
 // that shard's records. A server constructed with a ShardEngineSet answers
-// v2 kShardSearch requests shard-by-shard (hits keep their record ids so a
-// coordinator can k-way merge across nodes) and serves legacy v1 kSearch
-// sessions by scanning every owned shard and merging locally by id — old
-// clients keep working against a cluster node, they just see the node's
-// subset of the store.
+// kShardSearch requests shard-by-shard (hits keep their record ids so a
+// coordinator can k-way merge across nodes) and refuses a plain kSearch
+// with kBadRequest, the mirror of a plain server refusing kShardSearch:
+// a node holds only a subset of the store.
 //
 // The set is held by shared_ptr and swappable at runtime (set_shard_set):
 // every search job snapshots the pointer when it is dispatched, so a live
@@ -121,7 +120,7 @@ struct NetServerOptions {
   // per-shard engines precisely so set swaps never dangle it). nullptr =
   // plain single-store server.
   std::shared_ptr<const ShardEngineSet> shard_set;
-  // Live map reconfiguration hook (v3 kMapUpdate): called on a worker
+  // Live map reconfiguration hook (kMapUpdate): called on a worker
   // thread with the raw serialized-ClusterMap bytes; the handler validates
   // and applies them (typically ending in set_shard_set) and returns the
   // ack to send. Unset = the server refuses map updates with kBadRequest.
@@ -218,14 +217,11 @@ class NetServer {
     // The session's digest of `query`, computed once at kAuth and copied
     // alongside it, so the engine never re-hashes the capability.
     QueryDigest digest{};
-    // kShardSearch jobs: reply with ShardChunkMsg frames (id-carrying hits)
-    // for exactly these shards. Legacy jobs on a shard-backed server scan
-    // every owned shard instead and reply with plain ResultChunkMsg frames.
-    bool shard_scoped = false;
+    // kShardSearch jobs (set != nullptr): reply with ShardChunkMsg frames
+    // (id-carrying hits) for exactly these shards. `set` is the shard set
+    // the job was validated against, snapshotted at dispatch: a concurrent
+    // set_shard_set never invalidates a running scan (graceful handoff).
     std::vector<std::uint32_t> shards;
-    // The shard set this job was validated against, snapshotted at
-    // dispatch: a concurrent set_shard_set never invalidates a running
-    // scan (graceful handoff).
     std::shared_ptr<const ShardEngineSet> set;
     // kMapUpdate jobs ride the same worker queue (applying a map loads
     // shard engines — far too slow for an io loop thread).

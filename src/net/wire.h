@@ -44,15 +44,10 @@
 namespace apks::net {
 
 inline constexpr char kNetMagic[8] = {'A', 'P', 'K', 'S', 'N', 'E', 'T', '1'};
-// Version 2 adds the shard-scoped search messages of cluster mode
-// (kShardSearch / kShardChunk). Version 3 adds the self-healing control
-// plane: kPing/kPong heartbeats and kMapUpdate/kMapUpdateAck live
-// cluster-map propagation. The server still accepts version-1 hellos —
-// a session negotiates the client's version and newer-only messages on an
-// old session are a kBadRequest, so pre-cluster clients keep working
-// unchanged.
+// The one protocol version. A hello carrying any other value gets a
+// kBadRequest hello-ack and the connection closes: there is no
+// negotiation, and every verb below is available on every session.
 inline constexpr std::uint8_t kNetVersion = 3;
-inline constexpr std::uint8_t kNetVersionMin = 1;
 inline constexpr std::size_t kWireFrameHeaderSize = 4 + 4;
 // One cap for disk frames and wire frames: no legitimate message (a query
 // key, a chunk of doc_refs) comes anywhere near it.
@@ -231,7 +226,7 @@ struct StatusMsg {
   [[nodiscard]] static StatusMsg decode(std::span<const std::uint8_t> body);
 };
 
-// --- version-2 cluster messages ---------------------------------------------
+// --- cluster messages -------------------------------------------------------
 // A coordinator scatters a search over shard-owning nodes. Unlike kSearch,
 // the response hits carry the record *id* next to every doc_ref: ids are
 // the merge key that makes the coordinator's k-way merge byte-identical to
@@ -272,7 +267,7 @@ struct ShardChunkMsg {
       std::span<const std::uint8_t> body);
 };
 
-// --- version-3 self-healing control plane ------------------------------------
+// --- self-healing control plane ---------------------------------------------
 // Heartbeats and live map propagation are tiny, auth-free control messages:
 // a ping is answered on the io thread (no worker queue) so liveness probing
 // measures the event loop, not scan backlog, and a map update is applied on

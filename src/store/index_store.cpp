@@ -30,16 +30,10 @@ namespace {
 }
 
 constexpr char kManifestMagic[8] = {'A', 'P', 'K', 'S', 'M', 'A', 'N', '1'};
-// Version 1: no scheme tag (every record is basic-APKS serialize_index).
-// Version 2: adds one scheme byte (SchemeKind) after the shard id.
-// Version 3: adds the shard's u64 epoch counter after the scheme byte and
-//            a u64 seal epoch per sealed-segment entry (durable segment
-//            identity for the verdict cache). v1/v2 manifests still load —
-//            their sealed segments carry epoch 0 and the counter resumes
-//            at 0, which is correct because epoch 0 entries are never
-//            re-assigned (rotation pre-increments).
-constexpr std::uint32_t kManifestVersionLegacy = 1;
-constexpr std::uint32_t kManifestVersionScheme = 2;
+// The one manifest version: shard id, scheme byte (SchemeKind), the
+// shard's u64 epoch counter, and per sealed segment (seq, records, bytes,
+// seal epoch) — the epoch is the segment's durable identity for the
+// verdict cache. Any other version is refused as corrupt.
 constexpr std::uint32_t kManifestVersion = 3;
 
 SchemeKind decode_scheme_byte(std::uint8_t raw, const std::string& what) {
@@ -144,32 +138,25 @@ void IndexStore::load_manifest() {
                          .u32()) {
     fail_corrupt("manifest checksum mismatch", dir_ / "MANIFEST");
   }
-  const std::uint32_t version = r.u32();
-  if (version != kManifestVersionLegacy &&
-      version != kManifestVersionScheme && version != kManifestVersion) {
+  if (r.u32() != kManifestVersion) {
     fail_corrupt("unsupported manifest version", dir_ / "MANIFEST");
   }
   if (r.u32() != shard_id_) {
     fail_corrupt("manifest shard id mismatch", dir_ / "MANIFEST");
   }
-  // Pre-tag manifests predate every non-basic scheme: they can only hold
-  // basic-APKS records, so they load as SchemeKind::kApks.
   const SchemeKind on_disk =
-      version == kManifestVersionLegacy
-          ? SchemeKind::kApks
-          : decode_scheme_byte(r.u8(), "manifest " + dir_.string());
+      decode_scheme_byte(r.u8(), "manifest " + dir_.string());
   if (on_disk != scheme_) {
     throw std::runtime_error(
         "scheme mismatch: shard at " + dir_.string() + " holds '" +
         std::string(scheme_name(on_disk)) + "' records, opened as '" +
         std::string(scheme_name(scheme_)) + "'");
   }
-  epoch_ = version >= kManifestVersion ? r.u64() : 0;
+  epoch_ = r.u64();
   const std::uint64_t active_seq = r.u64();
   next_seq_ = r.u64();
   const std::uint32_t nsealed = r.u32();
-  const std::size_t entry_bytes = version >= kManifestVersion ? 32 : 24;
-  if (nsealed > r.remaining() / entry_bytes) {
+  if (nsealed > r.remaining() / 32) {
     fail_corrupt("manifest sealed count exceeds payload", dir_ / "MANIFEST");
   }
   sealed_.clear();
@@ -179,10 +166,8 @@ void IndexStore::load_manifest() {
     s.seq = r.u64();
     s.records = r.u64();
     s.bytes = r.u64();
-    if (version >= kManifestVersion) {
-      s.epoch = r.u64();
-      epoch_ = std::max(epoch_, s.epoch);
-    }
+    s.epoch = r.u64();
+    epoch_ = std::max(epoch_, s.epoch);
     sealed_.push_back(s);
   }
   if (!r.done()) {

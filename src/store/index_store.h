@@ -38,10 +38,10 @@
 namespace apks {
 
 // Durable identity of one segment, stable across process restarts: the
-// owning store's uid (random at store creation; 0 for stores created
-// before the field existed), the shard, the segment's sequence number, and
-// the epoch assigned when the segment was *sealed* (from the shard's
-// monotonically increasing epoch counter, persisted in the v3 manifest).
+// owning store's uid (random at store creation; 0 for a standalone
+// IndexStore), the shard, the segment's sequence number, and the epoch
+// assigned when the segment was *sealed* (from the shard's
+// monotonically increasing epoch counter, persisted in the manifest).
 // Sequence numbers are never reused (next_seq_ is persisted before a seal
 // commits) and the epoch makes the identity robust even against manifests
 // hand-rolled to replay a seq: two distinct sealed record sets never share
@@ -103,9 +103,8 @@ class IndexStore {
   // Opens (creating the directory, first segment and manifest if absent)
   // and runs crash recovery. `shard_id` is stamped into segment headers and
   // cross-checked against existing files. `scheme` is stamped into the
-  // manifest (v2) so a shard ingested under one scheme's codec is refused
-  // by another; version-1 manifests (written before the tag existed) load
-  // as legacy basic APKS.
+  // manifest so a shard ingested under one scheme's codec is refused by
+  // another; a manifest of any other version is refused as corrupt.
   IndexStore(std::filesystem::path dir, std::uint32_t shard_id,
              IndexStoreOptions options = {},
              SchemeKind scheme = SchemeKind::kApks);
@@ -159,7 +158,7 @@ class IndexStore {
   // until the next compact() retires them.
   [[nodiscard]] std::vector<SegmentId> sealed_segment_ids() const;
   // Highest epoch assigned by this shard so far (0 for a shard that never
-  // sealed a segment, including shards loaded from pre-epoch manifests).
+  // sealed a segment).
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   // Installs (or clears, with an empty function) the invalidation hook.
@@ -175,9 +174,7 @@ class IndexStore {
     std::uint64_t seq = 0;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
-    // Epoch assigned at seal time; 0 only for segments sealed before the
-    // v3 manifest existed (loaded from v1/v2 manifests).
-    std::uint64_t epoch = 0;
+    std::uint64_t epoch = 0;  // assigned at seal time
   };
 
   [[nodiscard]] std::filesystem::path segment_path(std::uint64_t seq) const;

@@ -21,15 +21,12 @@ namespace apks {
 namespace {
 
 constexpr char kStoreMagic[8] = {'A', 'P', 'K', 'S', 'S', 'T', 'R', '1'};
-// Version 1: no scheme tag (every record is basic-APKS serialize_index).
-// Version 2: adds one scheme byte (SchemeKind) after the shard count.
-// Version 3: adds a random u64 store uid after the scheme byte (stamped
-//            into SegmentIds so identities from different stores never
-//            collide in a shared verdict cache). The META is written once
-//            at creation: pre-v3 stores keep uid 0 for life.
-constexpr std::uint32_t kStoreVersionLegacy = 1;
-constexpr std::uint32_t kStoreVersionScheme = 2;
+// The one STORE version: [magic] [u32 version] [u32 shards] [u8 scheme]
+// [u64 store uid] [u32 crc32]. The uid is stamped into SegmentIds so
+// identities from different stores never collide in a shared verdict
+// cache. Any other version is refused as corrupt.
 constexpr std::uint32_t kStoreVersion = 3;
+constexpr std::size_t kStoreMetaBytes = sizeof(kStoreMagic) + 4 + 4 + 1 + 8 + 4;
 
 // Random nonzero uid for a freshly created store. Non-cryptographic — the
 // uid only has to make accidental SegmentId collisions across distinct
@@ -82,55 +79,52 @@ struct StoreMeta {
   std::uint64_t store_uid = 0;
 };
 
+// Every refusal of a STORE file is typed, like a shard MANIFEST's.
 StoreMeta read_store_meta(const std::filesystem::path& dir) {
-  std::ifstream in(dir / "STORE", std::ios::binary);
+  const std::filesystem::path path = dir / "STORE";
+  const auto corrupt = [&](const std::string& what) {
+    return StoreError(ErrorCode::kCorrupt, what + ": " + path.string(),
+                      path.string());
+  };
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
-    throw std::runtime_error("cannot open " + (dir / "STORE").string());
+    throw StoreError(ErrorCode::kIo, "cannot open " + path.string(),
+                     path.string());
   }
   const std::vector<std::uint8_t> data{std::istreambuf_iterator<char>(in),
                                        std::istreambuf_iterator<char>()};
-  // v1: magic + version + shards + crc; v2 adds one scheme byte; v3 adds
-  // the u64 store uid.
-  if ((data.size() != sizeof(kStoreMagic) + 12 &&
-       data.size() != sizeof(kStoreMagic) + 13 &&
-       data.size() != sizeof(kStoreMagic) + 21) ||
+  if (data.size() < sizeof(kStoreMagic) + 8 ||
       std::memcmp(data.data(), kStoreMagic, sizeof(kStoreMagic)) != 0) {
-    throw std::runtime_error("not a store: " + dir.string());
+    throw corrupt("not a store");
   }
   const std::span<const std::uint8_t> body(data.data(), data.size() - 4);
+  if (crc32(body) != ByteReader(std::span<const std::uint8_t>(
+                                    data.data() + data.size() - 4, 4))
+                         .u32()) {
+    throw corrupt("store meta checksum mismatch");
+  }
   ByteReader r(body);
   (void)r.raw(sizeof(kStoreMagic));
   const std::uint32_t version = r.u32();
+  if (version != kStoreVersion) {
+    throw corrupt("unsupported store version " + std::to_string(version));
+  }
+  if (data.size() != kStoreMetaBytes) {
+    throw corrupt(data.size() > kStoreMetaBytes ? "store meta: trailing bytes"
+                                                : "store meta: truncated");
+  }
   StoreMeta meta;
   meta.shards = r.u32();
-  ByteReader crc_r(
-      std::span<const std::uint8_t>(data.data() + data.size() - 4, 4));
-  if (crc32(body) != crc_r.u32()) {
-    throw std::runtime_error("store meta checksum mismatch: " + dir.string());
+  const std::uint8_t raw = r.u8();
+  if (raw != static_cast<std::uint8_t>(SchemeKind::kApks) &&
+      raw != static_cast<std::uint8_t>(SchemeKind::kApksPlus) &&
+      raw != static_cast<std::uint8_t>(SchemeKind::kMrqed)) {
+    throw corrupt("store meta: unknown scheme tag " + std::to_string(raw));
   }
-  if (version == kStoreVersionLegacy) {
-    // Pre-tag stores predate every non-basic scheme: legacy basic APKS.
-    if (!r.done()) {
-      throw std::runtime_error("store meta: trailing bytes");
-    }
-  } else if (version == kStoreVersionScheme || version == kStoreVersion) {
-    const std::uint8_t raw = r.u8();
-    if (raw != static_cast<std::uint8_t>(SchemeKind::kApks) &&
-        raw != static_cast<std::uint8_t>(SchemeKind::kApksPlus) &&
-        raw != static_cast<std::uint8_t>(SchemeKind::kMrqed)) {
-      throw std::runtime_error("store meta: unknown scheme tag " +
-                               std::to_string(raw));
-    }
-    meta.scheme = static_cast<SchemeKind>(raw);
-    if (version == kStoreVersion) meta.store_uid = r.u64();
-    if (!r.done()) {
-      throw std::runtime_error("store meta: trailing bytes");
-    }
-  } else {
-    throw std::runtime_error("unsupported store version");
-  }
+  meta.scheme = static_cast<SchemeKind>(raw);
+  meta.store_uid = r.u64();
   if (meta.shards == 0 || meta.shards > 4096) {
-    throw std::runtime_error("store meta: implausible shard count");
+    throw corrupt("store meta: implausible shard count");
   }
   return meta;
 }
@@ -163,29 +157,19 @@ RecordHead decode_head(std::span<const std::uint8_t> payload) {
 
 }  // namespace
 
-ShardedStore::ShardedStore(const Pairing& e, std::filesystem::path dir,
-                           ShardedStoreOptions options)
-    : ShardedStore(e, nullptr, SchemeKind::kApks, std::move(dir), options) {}
-
 ShardedStore::ShardedStore(const SearchBackend& backend,
                            std::filesystem::path dir,
                            ShardedStoreOptions options)
-    : ShardedStore(backend.pairing(), &backend, backend.kind(),
-                   std::move(dir), options) {}
-
-ShardedStore::ShardedStore(const Pairing& e, const SearchBackend* backend,
-                           SchemeKind scheme, std::filesystem::path dir,
-                           ShardedStoreOptions options)
-    : pairing_(&e), backend_(backend), scheme_(scheme), dir_(std::move(dir)) {
+    : backend_(&backend), dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
   std::uint32_t shards = options.shards;
   if (std::filesystem::exists(dir_ / "STORE")) {
     const StoreMeta meta = read_store_meta(dir_);
-    if (meta.scheme != scheme_) {
+    if (meta.scheme != scheme()) {
       throw std::invalid_argument(
           "scheme mismatch: store at " + dir_.string() + " holds '" +
           std::string(scheme_name(meta.scheme)) + "' records, opened as '" +
-          std::string(scheme_name(scheme_)) + "'");
+          std::string(scheme_name(scheme())) + "'");
     }
     shards = meta.shards;
     store_uid_ = meta.store_uid;
@@ -194,14 +178,14 @@ ShardedStore::ShardedStore(const Pairing& e, const SearchBackend* backend,
       throw std::invalid_argument("ShardedStore: shard count must be > 0");
     }
     store_uid_ = mint_store_uid();
-    write_store_meta(dir_, shards, scheme_, store_uid_);
+    write_store_meta(dir_, shards, scheme(), store_uid_);
   }
   IndexStoreOptions shard_options = options.segment;
   shard_options.store_uid = store_uid_;
   shards_.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(
-        IndexStore(shard_dir(dir_, s), s, shard_options, scheme_)));
+        IndexStore(shard_dir(dir_, s), s, shard_options, scheme())));
   }
   // Seed the id counter past everything on disk. Replaying every frame
   // here also re-verifies every checksum of the store at open time.
@@ -215,76 +199,31 @@ ShardedStore::ShardedStore(const Pairing& e, const SearchBackend* backend,
 }
 
 void ShardedStore::require_apks_family(const char* what) const {
-  if (scheme_ == SchemeKind::kMrqed) {
+  if (scheme() == SchemeKind::kMrqed) {
     throw std::invalid_argument(
         std::string(what) + ": store holds '" +
-        std::string(scheme_name(scheme_)) +
+        std::string(scheme_name(scheme())) +
         "' records; use the scheme-agnostic (_any) API");
   }
-}
-
-std::vector<std::uint8_t> ShardedStore::index_bytes(
-    const AnyIndex& index) const {
-  if (backend_ != nullptr) return backend_->encode_index(index);
-  // Legacy basic-APKS codec (identical bytes to what a backend-opened
-  // kApks store writes, so the two open modes interoperate).
-  if (index.kind() != SchemeKind::kApks) {
-    throw std::invalid_argument(
-        "legacy store given an index of scheme '" +
-        std::string(scheme_name(index.kind())) + "'");
-  }
-  return serialize_index(*pairing_, index.as<EncryptedIndex>());
-}
-
-AnyIndex ShardedStore::decode_index_bytes(
-    std::span<const std::uint8_t> data) const {
-  if (backend_ != nullptr) return backend_->decode_index(data);
-  return AnyIndex::own(SchemeKind::kApks, deserialize_index(*pairing_, data));
-}
-
-std::vector<std::uint8_t> ShardedStore::encode(
-    std::uint64_t id, const std::string& doc_ref,
-    const AnyIndex& index) const {
-  ByteWriter w;
-  w.u64(id);
-  w.str(doc_ref);
-  w.bytes(index_bytes(index));
-  return w.take();
 }
 
 std::uint64_t ShardedStore::append(std::string doc_ref,
                                    const EncryptedIndex& index) {
   require_apks_family("ShardedStore::append");
-  return append_any(std::move(doc_ref), AnyIndex::ref(scheme_, &index));
+  return append_any(std::move(doc_ref), AnyIndex::ref(scheme(), &index));
 }
 
 std::uint64_t ShardedStore::append_any(std::string doc_ref,
                                        const AnyIndex& index) {
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<std::uint8_t> payload = encode(id, doc_ref, index);
+  ByteWriter w;
+  w.u64(id);
+  w.str(doc_ref);
+  w.bytes(backend_->encode_index(index));
   Shard& shard = shard_for(id);
   std::unique_lock lock(shard.mutex);
-  shard.store.put(payload);
+  shard.store.put(w.data());
   return id;
-}
-
-void ShardedStore::put(std::uint64_t id, const std::string& doc_ref,
-                       const EncryptedIndex& index) {
-  require_apks_family("ShardedStore::put");
-  put_any(id, doc_ref, AnyIndex::ref(scheme_, &index));
-}
-
-void ShardedStore::put_any(std::uint64_t id, const std::string& doc_ref,
-                           const AnyIndex& index) {
-  // Keep the counter strictly ahead so a later append never reuses `id`.
-  std::uint64_t expected = next_id_.load(std::memory_order_relaxed);
-  while (expected <= id && !next_id_.compare_exchange_weak(
-                               expected, id + 1, std::memory_order_relaxed)) {
-  }
-  const std::vector<std::uint8_t> payload = encode(id, doc_ref, index);
-  Shard& shard = shard_for(id);
-  std::unique_lock lock(shard.mutex);
-  shard.store.put(payload);
 }
 
 void ShardedStore::flush() {
@@ -301,22 +240,6 @@ void ShardedStore::sync() {
   }
 }
 
-void ShardedStore::for_each_record(
-    const std::function<void(StoredIndexRecord&&)>& fn) {
-  require_apks_family("ShardedStore::for_each_record");
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
-      RecordHead head = decode_head(payload);
-      StoredIndexRecord rec;
-      rec.id = head.id;
-      rec.doc_ref = std::move(head.doc_ref);
-      rec.index = deserialize_index(*pairing_, head.index_bytes);
-      fn(std::move(rec));
-    });
-  }
-}
-
 void ShardedStore::for_each_record_any(
     const std::function<void(StoredAnyRecord&&)>& fn) {
   for (const auto& shard : shards_) {
@@ -326,7 +249,7 @@ void ShardedStore::for_each_record_any(
       StoredAnyRecord rec;
       rec.id = head.id;
       rec.doc_ref = std::move(head.doc_ref);
-      rec.index = decode_index_bytes(head.index_bytes);
+      rec.index = backend_->decode_index(head.index_bytes);
       fn(std::move(rec));
     });
   }
@@ -344,7 +267,7 @@ void ShardedStore::for_each_record_any_segmented(
           StoredAnyRecord rec;
           rec.id = head.id;
           rec.doc_ref = std::move(head.doc_ref);
-          rec.index = decode_index_bytes(head.index_bytes);
+          rec.index = backend_->decode_index(head.index_bytes);
           fn(std::move(rec), seg, sealed);
           return true;
         });
@@ -373,9 +296,14 @@ std::vector<StoredIndexRecord> ShardedStore::load_all() {
   require_apks_family("ShardedStore::load_all");
   std::vector<StoredIndexRecord> out;
   out.reserve(record_count());
-  for_each_record([&](StoredIndexRecord&& rec) {
-    out.push_back(std::move(rec));
-  });
+  for (const auto& shard : shards_) {
+    std::shared_lock lock(shard->mutex);
+    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
+      RecordHead head = decode_head(payload);
+      out.push_back({head.id, std::move(head.doc_ref),
+                     deserialize_index(backend_->pairing(), head.index_bytes)});
+    });
+  }
   // Each shard streams in ascending-id order already; a global sort by id
   // restores the original upload order across shards.
   std::sort(out.begin(), out.end(),
@@ -400,9 +328,8 @@ std::vector<StoredAnyRecord> ShardedStore::load_all_any() {
 
 namespace {
 
-// Shared shard-parallel streaming machinery of search()/search_any(): the
-// cooperative stop state (one atomic, polled once per streamed record by
-// every worker) plus the merge/outcome epilogue.
+// The cooperative stop state of search_any (one atomic, polled once per
+// streamed record by every worker) plus the merge/outcome epilogue.
 struct ScanControlState {
   using Clock = std::chrono::steady_clock;
 
@@ -468,10 +395,6 @@ std::vector<std::string> ShardedStore::search_any(const AnyQuery& query,
                                                   std::size_t threads,
                                                   StoreScanStats* stats,
                                                   const ServeControl& control) {
-  if (backend_ == nullptr) {
-    throw std::logic_error(
-        "ShardedStore::search_any: store was opened without a backend");
-  }
   const SearchBackend& backend = *backend_;
   const AnyPrepared prepared = backend.prepare(query);
   if (threads == 0) {
@@ -507,83 +430,6 @@ std::vector<std::string> ShardedStore::search_any(const AnyQuery& query,
               const AnyIndex index = backend.decode_index(head.index_bytes);
               ++results[s].scanned;
               if (backend.match(prepared, index)) {
-                results[s].matches.emplace_back(head.id,
-                                                std::move(head.doc_ref));
-              }
-              return true;
-            });
-      }
-    } catch (...) {
-      errors[t] = std::current_exception();
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& t : pool) t.join();
-  }
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-
-  std::vector<std::pair<std::uint64_t, std::string>> merged;
-  std::size_t scanned = 0;
-  for (ShardResult& r : results) {
-    scanned += r.scanned;
-    merged.insert(merged.end(), std::make_move_iterator(r.matches.begin()),
-                  std::make_move_iterator(r.matches.end()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  scan_control.finish(stats, scanned, merged.size());
-  std::vector<std::string> refs;
-  refs.reserve(merged.size());
-  for (auto& [id, ref] : merged) refs.push_back(std::move(ref));
-  return refs;
-}
-
-std::vector<std::string> ShardedStore::search(const Apks& scheme,
-                                              const Capability& cap,
-                                              std::size_t threads,
-                                              StoreScanStats* stats,
-                                              const ServeControl& control) {
-  require_apks_family("ShardedStore::search");
-  const PreparedCapability prepared = scheme.prepare(cap);
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, shards_.size());
-
-  ScanControlState scan_control(control);
-  struct ShardResult {
-    std::vector<std::pair<std::uint64_t, std::string>> matches;
-    std::size_t scanned = 0;
-  };
-  std::vector<ShardResult> results(shards_.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(threads);
-  auto worker = [&](std::size_t t) {
-    try {
-      for (;;) {
-        if (scan_control.should_stop()) return;
-        const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
-        if (s >= shards_.size()) return;
-        Shard& shard = *shards_[s];
-        std::shared_lock lock(shard.mutex);
-        (void)shard.store.for_each_segmented(
-            [&](std::span<const std::uint8_t> payload, const SegmentId&,
-                bool) {
-              if (scan_control.should_stop()) return false;
-              (void)failpoint("store.scan_record");
-              RecordHead head = decode_head(payload);
-              const EncryptedIndex index =
-                  deserialize_index(*pairing_, head.index_bytes);
-              ++results[s].scanned;
-              if (scheme.search_prepared(prepared, index)) {
                 results[s].matches.emplace_back(head.id,
                                                 std::move(head.doc_ref));
               }

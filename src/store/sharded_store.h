@@ -5,8 +5,8 @@
 //
 // Directory layout:
 //
-//   <dir>/STORE          shard count + codec version (checksummed,
-//                        written once at creation)
+//   <dir>/STORE          version, shard count, scheme tag and store uid
+//                        (checksummed, written once at creation)
 //   <dir>/shard-000/     IndexStore chain (MANIFEST + seg-*.apks)
 //   <dir>/shard-001/     ...
 //
@@ -17,9 +17,9 @@
 // return byte-identical results (same doc_refs, same order) to the server
 // that never restarted.
 //
-// Concurrency: append/put take the target shard's lock exclusively;
-// streaming reads (load_all, search, for_each_record) hold every shard
-// they touch shared — same contract as CloudServer's record store. Ids
+// Concurrency: append takes the target shard's lock exclusively;
+// streaming reads (load_all, search_any, for_each_record_any) hold every
+// shard they touch shared — same contract as CloudServer's record store. Ids
 // come from one atomic counter, seeded past the largest id on disk at
 // open (open replays every committed frame, which doubles as an
 // end-to-end checksum validation of the whole store).
@@ -72,31 +72,21 @@ struct StoreScanStats {
 
 class ShardedStore {
  public:
-  // Opens (creating if absent) and crash-recovers every shard as a legacy
-  // basic-APKS store (serialize_index codec, SchemeKind::kApks tag).
-  ShardedStore(const Pairing& e, std::filesystem::path dir,
-               ShardedStoreOptions options = {});
-
-  // Scheme-aware open: records are encoded/decoded through the backend's
-  // codec and the backend's SchemeKind is stamped into the STORE metadata
-  // (and each shard manifest). Opening an existing store whose tag differs
-  // from the backend's scheme throws — a store ingested under one scheme
-  // is refused, never silently mis-parsed, by another. Untagged stores
-  // (written before the tag existed) load as basic APKS. The backend must
-  // outlive the store.
+  // Opens (creating if absent) and crash-recovers every shard. Records are
+  // encoded/decoded through the backend's codec and the backend's
+  // SchemeKind is stamped into the STORE metadata (and each shard
+  // manifest). Opening an existing store whose tag differs from the
+  // backend's scheme throws — a store ingested under one scheme is
+  // refused, never silently mis-parsed, by another. A STORE or MANIFEST
+  // that is not the current version, fails its checksum or does not parse
+  // throws StoreError(kCorrupt). The backend must outlive the store.
   ShardedStore(const SearchBackend& backend, std::filesystem::path dir,
                ShardedStoreOptions options = {});
 
-  // Owner upload: assigns the next id, persists, returns the id.
+  // Owner upload: assigns the next id, persists, returns the id. The typed
+  // variant requires an APKS-family store (EncryptedIndex payloads).
   std::uint64_t append(std::string doc_ref, const EncryptedIndex& index);
   std::uint64_t append_any(std::string doc_ref, const AnyIndex& index);
-
-  // Write-through path for CloudServer: persist under a caller-chosen id
-  // (the server's record id). Keeps the id counter ahead of `id`.
-  void put(std::uint64_t id, const std::string& doc_ref,
-           const EncryptedIndex& index);
-  void put_any(std::uint64_t id, const std::string& doc_ref,
-               const AnyIndex& index);
 
   void flush();  // all shards
   void sync();   // all shards (durability barrier)
@@ -109,8 +99,6 @@ class ShardedStore {
 
   // Streams records shard-by-shard (ascending id within a shard, shard
   // order unspecified) without materializing the whole store.
-  void for_each_record(
-      const std::function<void(StoredIndexRecord&&)>& fn);
   void for_each_record_any(
       const std::function<void(StoredAnyRecord&&)>& fn);
 
@@ -123,10 +111,11 @@ class ShardedStore {
                                bool sealed)>& fn);
 
   // Linear scan directly over the on-disk segments, shard-parallel:
-  // decodes and tests each record as it streams, never holding more than
-  // one record per worker in memory. Results are in ascending-id order —
-  // identical to CloudServer::search over the same records. threads == 0
-  // uses hardware concurrency (capped at the shard count).
+  // prepares the query with the store's backend, then decodes and matches
+  // each record as it streams, never holding more than one record per
+  // worker in memory. Results are in ascending-id order — identical to
+  // CloudServer::search over the same records. threads == 0 uses hardware
+  // concurrency (capped at the shard count).
   //
   // `control` is polled per streamed record (the disk scan's block size is
   // one record): a deadline or cancellation stops every shard worker
@@ -134,14 +123,6 @@ class ShardedStore {
   // ServingError(kCancelled) — with `stats` already filled with the
   // partial progress and outcome flags — unless control.partial_ok, in
   // which case the matches found so far come back with the flags set.
-  [[nodiscard]] std::vector<std::string> search(
-      const Apks& scheme, const Capability& cap, std::size_t threads = 0,
-      StoreScanStats* stats = nullptr, const ServeControl& control = {});
-
-  // Scheme-agnostic variant of the disk scan: prepares the query with the
-  // store's backend and matches each record as it streams. Requires the
-  // store to have been opened with a backend. Same control contract as
-  // search().
   [[nodiscard]] std::vector<std::string> search_any(
       const AnyQuery& query, std::size_t threads = 0,
       StoreScanStats* stats = nullptr, const ServeControl& control = {});
@@ -163,16 +144,16 @@ class ShardedStore {
   [[nodiscard]] const std::filesystem::path& dir() const noexcept {
     return dir_;
   }
-  // The scheme this store's records belong to (from the STORE metadata;
-  // untagged legacy stores report kApks).
-  [[nodiscard]] SchemeKind scheme() const noexcept { return scheme_; }
-  // The codec backend, or nullptr when opened through the legacy ctor.
-  [[nodiscard]] const SearchBackend* backend() const noexcept {
-    return backend_;
+  // The scheme this store's records belong to (the STORE metadata tag,
+  // which open checked against the backend).
+  [[nodiscard]] SchemeKind scheme() const noexcept { return backend_->kind(); }
+  // The codec backend the store was opened with.
+  [[nodiscard]] const SearchBackend& backend() const noexcept {
+    return *backend_;
   }
-  // Random uid minted when the STORE meta was first written (v3); 0 for
-  // stores created before the field existed. Stamped into every SegmentId
-  // so identities from different stores never collide in a shared cache.
+  // Random nonzero uid minted when the STORE meta was first written.
+  // Stamped into every SegmentId so identities from different stores never
+  // collide in a shared cache.
   [[nodiscard]] std::uint64_t store_uid() const noexcept {
     return store_uid_;
   }
@@ -195,25 +176,12 @@ class ShardedStore {
     mutable std::shared_mutex mutex;
   };
 
-  ShardedStore(const Pairing& e, const SearchBackend* backend,
-               SchemeKind scheme, std::filesystem::path dir,
-               ShardedStoreOptions options);
-
   [[nodiscard]] Shard& shard_for(std::uint64_t id) {
     return *shards_[id % shards_.size()];
   }
-  [[nodiscard]] std::vector<std::uint8_t> encode(
-      std::uint64_t id, const std::string& doc_ref,
-      const AnyIndex& index) const;
-  [[nodiscard]] std::vector<std::uint8_t> index_bytes(
-      const AnyIndex& index) const;
-  [[nodiscard]] AnyIndex decode_index_bytes(
-      std::span<const std::uint8_t> data) const;
   void require_apks_family(const char* what) const;
 
-  const Pairing* pairing_;
-  const SearchBackend* backend_ = nullptr;
-  SchemeKind scheme_ = SchemeKind::kApks;
+  const SearchBackend* backend_;
   std::filesystem::path dir_;
   std::uint64_t store_uid_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

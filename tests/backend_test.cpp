@@ -2,12 +2,13 @@
 // constructions — APKS, APKS+, MRQED^D — through the one CloudServer /
 // SearchEngine / ShardedStore path, the APKS+ ingest guard, the
 // signed-query admission check, scheme-tag enforcement on persistent
-// stores, and the legacy (untagged v1) on-disk migration.
+// stores, and the refusal of every other on-disk STORE/MANIFEST version.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "cloud/proxy.h"
 #include "cloud/proxy_pool.h"
@@ -366,117 +367,97 @@ TEST_F(BackendTest, StoreSchemeMismatchRefused) {
   EXPECT_EQ(again.record_count(), 1u);
 }
 
-// Rewrites a v2 STORE/MANIFEST file as the pre-scheme-tag v1 layout: the
-// version field drops to 1 and the scheme byte (immediately after the u32
-// following the version) is removed; the trailing CRC is recomputed.
-void downgrade_to_v1(const fs::path& file) {
+std::vector<std::uint8_t> read_bytes(const fs::path& file) {
   std::ifstream in(file, std::ios::binary);
-  ASSERT_TRUE(in) << file;
-  const std::vector<std::uint8_t> data{std::istreambuf_iterator<char>(in),
-                                       std::istreambuf_iterator<char>()};
-  in.close();
-  ASSERT_GE(data.size(), 8u + 4 + 4 + 1 + 4);
-  ByteReader r(std::span<const std::uint8_t>(data.data(), data.size() - 4));
-  const auto magic = r.raw(8);
-  const bool is_manifest = std::memcmp(magic.data(), "APKSMAN1", 8) == 0;
-  const std::uint32_t version = r.u32();
-  ASSERT_TRUE(version == 2 || version == 3) << file << " version " << version;
-  const std::uint32_t id_field = r.u32();  // shard count / shard id
-  (void)r.u8();                            // scheme byte: dropped in v1
-
-  ByteWriter w;
-  w.raw(magic);
-  w.u32(1);  // v1
-  w.u32(id_field);
-  if (version == 3) {
-    // v3 added the segment-epoch machinery (manifest) and the store uid
-    // (STORE meta); both are dropped in v1.
-    if (is_manifest) {
-      (void)r.u64();   // epoch counter
-      w.u64(r.u64());  // active seq
-      w.u64(r.u64());  // next seq
-      const std::uint32_t nsealed = r.u32();
-      w.u32(nsealed);
-      for (std::uint32_t i = 0; i < nsealed; ++i) {
-        w.u64(r.u64());  // seq
-        w.u64(r.u64());  // records
-        w.u64(r.u64());  // bytes
-        (void)r.u64();   // seal epoch
-      }
-    } else {
-      (void)r.u64();  // store uid
-    }
-  } else {
-    w.raw(r.raw(r.remaining()));
-  }
-  w.u32(crc32(w.data()));
-  std::ofstream out(file, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out) << file;
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
-// Pre-refactor stores carry no scheme tag. They must keep loading — as
-// legacy basic APKS, serving byte-identical results — and must still be
-// refused by non-APKS backends.
-TEST_F(BackendTest, UntaggedV1StoreLoadsAsLegacyApks) {
+void write_bytes(const fs::path& file, std::span<const std::uint8_t> data) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+}
+
+// Every file under `dir`, keyed by path: the on-disk state of a store.
+std::map<fs::path, std::vector<std::uint8_t>> snapshot(const fs::path& dir) {
+  std::map<fs::path, std::vector<std::uint8_t>> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) files[entry.path()] = read_bytes(entry.path());
+  }
+  return files;
+}
+
+// STORE and MANIFEST both open with [8-byte magic] [u32 version] and end
+// in a CRC32 of everything before it. Rewrites the version field and
+// recomputes the CRC, so only the version is wrong.
+std::vector<std::uint8_t> with_version(std::vector<std::uint8_t> data,
+                                       std::uint32_t version) {
+  ByteWriter v;
+  v.u32(version);
+  std::memcpy(data.data() + 8, v.data().data(), 4);
+  data.resize(data.size() - 4);
+  ByteWriter crc;
+  crc.u32(crc32(data));
+  data.insert(data.end(), crc.data().begin(), crc.data().end());
+  return data;
+}
+
+// A STORE or shard MANIFEST carries exactly one on-disk version. Any other
+// version, even with a valid checksum, is refused as corrupt without
+// touching a byte on disk, and the untouched store still opens and serves
+// the results it served before.
+TEST_F(BackendTest, OtherStoreAndManifestVersionsAreRefused) {
   const Pairing e(default_type_a_params());
   const Apks scheme(e, nursery_schema(1));
-  ChaChaRng rng("backend-v1");
+  ChaChaRng rng("backend-versions");
   TrustedAuthority ta(scheme, rng);
   CapabilityVerifier verifier(e, ta.ibs_params());
   verifier.register_authority("TA");
+  const ApksBackend backend(scheme);
 
-  constexpr std::size_t kRecords = 6;
   const std::vector<PlainIndex> rows = nursery_rows();
   const SignedCapability cap =
       ta.issue(nursery_point_query(rows[997 % rows.size()]), rng);
   std::vector<std::string> original;
-  CloudServer::SearchStats original_stats;
   {
-    // Written through the pre-backend (Pairing-based) path, as PR 3 did.
-    ShardedStore store(e, dir_.path(), two_shards());
+    ShardedStore store(backend, dir_.path(), two_shards());
     CloudServer writer(scheme, verifier);
     writer.attach_store(&store);
-    for (std::size_t i = 0; i < kRecords; ++i) {
+    for (std::size_t i = 0; i < 6; ++i) {
       (void)writer.store(
           scheme.gen_index(ta.public_key(), rows[(i * 997) % rows.size()],
                            rng),
           "row-" + std::to_string(i));
     }
     store.sync();
-    original = writer.search(cap, &original_stats);
+    original = writer.search(cap);
     ASSERT_FALSE(original.empty());
   }
 
-  // Strip the scheme tags, as if the store had been written pre-refactor.
-  downgrade_to_v1(dir_.path() / "STORE");
-  for (const auto& entry : fs::directory_iterator(dir_.path())) {
-    if (entry.is_directory()) downgrade_to_v1(entry.path() / "MANIFEST");
+  for (const fs::path& file :
+       {dir_.path() / "STORE", dir_.path() / "shard-001" / "MANIFEST"}) {
+    const std::vector<std::uint8_t> good = read_bytes(file);
+    ASSERT_GT(good.size(), 16u) << file;
+    for (const std::uint32_t version : {1u, 2u, 4u}) {
+      write_bytes(file, with_version(good, version));
+      const auto before = snapshot(dir_.path());
+      try {
+        ShardedStore reopened(backend, dir_.path(), two_shards());
+        ADD_FAILURE() << file << " version " << version << " was accepted";
+      } catch (const StoreError& ex) {
+        EXPECT_EQ(ex.code(), ErrorCode::kCorrupt) << ex.what();
+        EXPECT_EQ(fs::path(ex.path()), file) << ex.what();
+      }
+      EXPECT_EQ(snapshot(dir_.path()), before) << file << " v" << version;
+    }
+    write_bytes(file, good);
   }
 
-  // Legacy open path and backend open path both accept it as basic APKS.
-  const ApksBackend backend(scheme);
-  for (const bool use_backend : {false, true}) {
-    const ShardedStoreOptions opts = two_shards();
-    auto reopened = use_backend
-                        ? std::make_unique<ShardedStore>(backend, dir_.path(), opts)
-                        : std::make_unique<ShardedStore>(e, dir_.path(), opts);
-    EXPECT_EQ(reopened->scheme(), SchemeKind::kApks);
-    EXPECT_EQ(reopened->record_count(), kRecords);
-    CloudServer restarted(scheme, verifier);
-    EXPECT_EQ(restarted.load_from(*reopened), kRecords);
-    CloudServer::SearchStats stats;
-    EXPECT_EQ(restarted.search(cap, &stats), original);
-    EXPECT_EQ(stats.scanned, original_stats.scanned);
-    EXPECT_EQ(stats.matched, original_stats.matched);
-  }
-
-  // A v1 store is still not up for grabs by other schemes.
-  const Mrqed mrqed(e, 2, 3);
-  const MrqedBackend mrqed_backend(mrqed);
-  EXPECT_THROW(ShardedStore(mrqed_backend, dir_.path(), two_shards()),
-               std::invalid_argument);
+  ShardedStore reopened(backend, dir_.path(), two_shards());
+  CloudServer restarted(scheme, verifier);
+  EXPECT_EQ(restarted.load_from(reopened), 6u);
+  EXPECT_EQ(restarted.search(cap), original);
 }
 
 }  // namespace

@@ -13,8 +13,9 @@
 //    three schemes (APKS, APKS+, MRQED^D).
 //  - Failover: a killed node's shards are served by their replicas; the
 //    result stays byte-identical and the breaker/retry stats say why.
-//  - Compatibility: a legacy v1 client still gets plain kSearch service
-//    from a shard-backed node (the node's subset, merged by id).
+//  - Refusals: a node refuses stale-map and unowned-shard RPCs and a
+//    plain kSearch (it holds only a subset of the store), and the session
+//    keeps answering shard searches.
 //  - Chaos (ClusterChaos*, run under the CI cluster stage): scatter
 //    failpoints (mid-batch node faults, slow replicas), partial scatter
 //    with every replica down, and the stale-map drill — partial results
@@ -421,46 +422,6 @@ TEST_F(ClusterTest, KilledNodeFailsOverToReplicas) {
   for (auto& node : c.nodes) node->stop();
 }
 
-TEST_F(ClusterTest, LegacyV1ClientIsServedTheNodeSubset) {
-  const SchemeRig& rig = env().apks_rig;
-  Cluster c = start_cluster(rig);
-
-  // The node's view: matches among the shards it owns, ascending by id.
-  const std::vector<std::string> full = rig.store->search_any(rig.query);
-
-  net::NetClient client;
-  client.connect("127.0.0.1", c.nodes[1]->port(), 10000);
-  const net::HelloAckMsg hello = client.hello(rig.backend->kind(), 1);
-  ASSERT_EQ(hello.status, WireStatus::kOk) << hello.message;
-  EXPECT_EQ(hello.version, 1);  // the server negotiated down
-  EXPECT_EQ(hello.records, c.nodes[1]->record_count());
-
-  const std::vector<std::uint8_t> qbytes =
-      rig.backend->encode_query(rig.query);
-  ASSERT_EQ(client.auth_unchecked(qbytes).status, WireStatus::kOk);
-  const net::RemoteResult remote = client.search();
-  ASSERT_EQ(remote.status, WireStatus::kOk) << remote.message;
-
-  // Every ref the node returns is a full-scan match, in full-scan order
-  // (the node's subset preserves ascending-id order).
-  std::size_t cursor = 0;
-  for (const std::string& ref : remote.refs) {
-    while (cursor < full.size() && full[cursor] != ref) ++cursor;
-    ASSERT_LT(cursor, full.size())
-        << "ref '" << ref << "' not a full-scan match (or out of order)";
-    ++cursor;
-  }
-  EXPECT_EQ(remote.scanned, c.nodes[1]->record_count());
-
-  // v2-only messages on a v1 session are a protocol error.
-  EXPECT_THROW(
-      (void)client.shard_search(c.nodes[1]->owned_shards(), c.map.version(),
-                                c.map.total_shards()),
-      ServingError);
-
-  for (auto& node : c.nodes) node->stop();
-}
-
 TEST_F(ClusterTest, ShardSearchAgainstPlainServerIsRefused) {
   // A non-cluster NetServer must refuse shard RPCs, not misroute them.
   const SchemeRig& rig = env().apks_rig;
@@ -492,6 +453,33 @@ TEST_F(ClusterTest, ShardSearchAgainstPlainServerIsRefused) {
     EXPECT_EQ(refused.status, WireStatus::kBadRequest);
     EXPECT_TRUE(refused.hits.empty());
   }
+
+  // The mirror case: a plain kSearch to a cluster node is refused (the
+  // node holds only a subset of the store), and the session stays open —
+  // a shard search on it still answers, byte-identical to the node's
+  // share of a single-node scan.
+  const net::RemoteResult plain = client.search();
+  EXPECT_EQ(plain.status, WireStatus::kBadRequest);
+  EXPECT_TRUE(plain.refs.empty());
+  EXPECT_NE(plain.message.find("node serves shard searches only"),
+            std::string::npos)
+      << plain.message;
+  const net::ShardRemoteResult answered =
+      client.shard_search(owned, c.map.version(), c.map.total_shards());
+  ASSERT_EQ(answered.status, WireStatus::kOk) << answered.message;
+  EXPECT_EQ(answered.scanned, c.nodes[0]->record_count());
+  const AnyPrepared prepared = rig.backend->prepare(rig.query);
+  std::vector<std::string> want;
+  for (const StoredAnyRecord& rec : rig.store->load_all_any()) {
+    if (std::find(owned.begin(), owned.end(),
+                  rec.id % c.map.total_shards()) != owned.end() &&
+        rig.backend->match(prepared, rec.index)) {
+      want.push_back(rec.doc_ref);
+    }
+  }
+  std::vector<std::string> got;
+  for (const net::ShardHit& hit : answered.hits) got.push_back(hit.ref);
+  EXPECT_EQ(got, want);
 
   for (auto& node : c.nodes) node->stop();
 }

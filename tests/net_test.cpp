@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "cloud/proxy.h"
@@ -353,6 +354,22 @@ TEST_F(NetTest, SignedSessionAuthAcceptsAndRejects) {
   EXPECT_EQ(stats.auth_rejected, 3u);
 }
 
+// A blocking loopback socket with a 5 s receive timeout, for speaking
+// hand-built frames to a live server.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  timeval tv{5, 0};
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
 TEST_F(NetTest, SchemeAndVersionMismatchRefusedAtHello) {
   NetEnv& e = env();
   SearchEngine engine(e.apks_server, {.threads = 1});
@@ -373,6 +390,50 @@ TEST_F(NetTest, SchemeAndVersionMismatchRefusedAtHello) {
     client.connect("127.0.0.1", net.port(), 10000);
     EXPECT_THROW((void)client.auth_unchecked({}), ServingError);
   }
+
+  // One protocol version, no negotiation: a raw hello carrying any other
+  // version gets a kBadRequest hello-ack and the server hangs up, while
+  // kNetVersion opens a session.
+  const auto raw_hello = [&](std::uint8_t version, bool expect_close) {
+    const int fd = raw_connect(net.port());
+    const auto frame = net::encode_frame(
+        net::HelloMsg{version, SchemeKind::kApks}.encode());
+    (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+    net::FrameReassembler in;
+    std::optional<std::vector<std::uint8_t>> payload;
+    std::uint8_t buf[4096];
+    ssize_t n = 1;
+    while (!payload.has_value() && (n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      in.feed({buf, static_cast<std::size_t>(n)});
+      payload = in.next();
+    }
+    net::HelloAckMsg ack;
+    ack.status = WireStatus::kUnavailable;
+    if (payload.has_value()) {
+      const net::ParsedFrame parsed = net::parse_frame(*payload);
+      EXPECT_EQ(parsed.type, net::MsgType::kHelloAck);
+      ack = net::HelloAckMsg::decode(parsed.body);
+    } else {
+      ADD_FAILURE() << "no hello-ack for version " << int{version};
+    }
+    if (expect_close) {
+      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      }
+      EXPECT_EQ(n, 0) << "version " << int{version} << " left open";
+    }
+    ::close(fd);
+    return ack;
+  };
+  for (const std::uint8_t version :
+       std::initializer_list<std::uint8_t>{0, 1, 2, 4, 255}) {
+    const net::HelloAckMsg ack = raw_hello(version, /*expect_close=*/true);
+    EXPECT_EQ(ack.status, WireStatus::kBadRequest) << int{version};
+    EXPECT_NE(ack.message.find("protocol version"), std::string::npos)
+        << ack.message;
+  }
+  const net::HelloAckMsg ok = raw_hello(net::kNetVersion, false);
+  EXPECT_EQ(ok.status, WireStatus::kOk) << ok.message;
+  EXPECT_EQ(ok.version, net::kNetVersion);
 }
 
 // --- wire-codec hostility ----------------------------------------------------
@@ -525,16 +586,7 @@ TEST_F(NetTest, RawSocketGarbageDisconnectsCleanly) {
   NetServer net(engine, unchecked_options());
 
   const auto hostile_round = [&](std::span<const std::uint8_t> bytes) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(net.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    timeval tv{5, 0};
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    const int fd = raw_connect(net.port());
     (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
     // Drain until the server hangs up (status frames included); the
     // disconnect — not a hang, not a crash — is the contract.

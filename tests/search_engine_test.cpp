@@ -239,7 +239,8 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   ShardedStoreOptions sopts;
   sopts.shards = 1;
   sopts.segment.segment_max_bytes = 1;  // seal after every append
-  ShardedStore store(e_, dir.path(), sopts);
+  const ApksBackend codec(apks_);
+  ShardedStore store(codec, dir.path(), sopts);
   auto put = [&](std::vector<std::string> values, std::string ref) {
     (void)store.append(std::move(ref),
                        apks_.gen_index(ta_.public_key(),
@@ -315,7 +316,8 @@ TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
   ShardedStoreOptions sopts;
   sopts.shards = 1;
   sopts.segment.segment_max_bytes = 1;  // seal after every append
-  ShardedStore store(e_, dir.path(), sopts);
+  const ApksBackend codec(apks_);
+  ShardedStore store(codec, dir.path(), sopts);
   auto put = [&](std::vector<std::string> values, std::string ref) {
     (void)store.append(std::move(ref),
                        apks_.gen_index(ta_.public_key(),

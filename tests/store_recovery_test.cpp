@@ -72,7 +72,8 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   opts.segment.segment_max_bytes = 16 << 10;  // a few segments per shard
 
   CloudServer pre_crash(scheme, make_verifier());
-  ShardedStore store(e, dir_.path(), opts);
+  const ApksBackend backend(scheme);
+  ShardedStore store(backend, dir_.path(), opts);
   pre_crash.attach_store(&store);
   std::vector<const PlainIndex*> stored;
   for (std::size_t i = 0; i < kRecords; ++i) {
@@ -107,7 +108,7 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   append_bytes(active_segment(dir_.path() / "shard-002"), garbage);
 
   // Reopen: recovery truncates all three tails and keeps all 24 records.
-  ShardedStore recovered(e, dir_.path(), opts);
+  ShardedStore recovered(backend, dir_.path(), opts);
   const RecoveryStats rec = recovered.recovery();
   EXPECT_TRUE(rec.torn_tail);
   EXPECT_EQ(rec.torn_bytes,
@@ -127,7 +128,9 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
 
   // The shard-parallel disk scan agrees with the in-memory servers too.
   StoreScanStats disk_stats;
-  EXPECT_EQ(recovered.search(scheme, caps[0].cap, 3, &disk_stats),
+  EXPECT_EQ(recovered.search_any(
+                AnyQuery::ref(SchemeKind::kApks, &caps[0].cap), 3,
+                &disk_stats),
             pre_results[0]);
   EXPECT_EQ(disk_stats.scanned, kRecords);
 
@@ -239,9 +242,10 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
   ShardedStoreOptions opts;
   opts.shards = 2;
   opts.segment.segment_max_bytes = 1;  // seal after every append
+  const ApksBackend backend(scheme);
 
   {
-    ShardedStore store(e, dir_.path(), opts);
+    ShardedStore store(backend, dir_.path(), opts);
     for (std::size_t i = 0; i < kRecords; ++i) {
       const PlainIndex& row = rows[(i * 541) % rows.size()];
       (void)store.append("row-" + std::to_string(i),
@@ -272,7 +276,7 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
 
   // Populate: first cached batch memoizes every sealed segment's verdict.
   {
-    ShardedStore store(e, dir_.path(), opts);
+    ShardedStore store(backend, dir_.path(), opts);
     CloudServer server(scheme, CapabilityVerifier(e, ta.ibs_params()));
     ASSERT_EQ(server.load_from(store), kRecords);
     ASSERT_FALSE(server.segment_table().empty());
@@ -287,7 +291,7 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
   append_bytes(active_segment(dir_.path() / "shard-000"), garbage);
   append_bytes(active_segment(dir_.path() / "shard-001"), garbage);
   {
-    ShardedStore recovered(e, dir_.path(), opts);
+    ShardedStore recovered(backend, dir_.path(), opts);
     EXPECT_TRUE(recovered.recovery().torn_tail);
     ASSERT_EQ(recovered.record_count(), kRecords);
     CloudServer server(scheme, CapabilityVerifier(e, ta.ibs_params()));

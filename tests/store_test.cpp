@@ -4,12 +4,15 @@
 // thread safety. Crash-recovery scenarios live in store_recovery_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "cloud/docstore.h"
 #include "cloud/server.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "core/serialize_apks.h"
 #include "store/index_store.h"
@@ -272,6 +275,7 @@ class ShardedStoreTest : public StoreDirTest {
   ShardedStoreTest()
       : e_(default_type_a_params()),
         scheme_(e_, Schema({{"a", nullptr, 1}, {"b", nullptr, 1}})),
+        backend_(scheme_),
         rng_("sharded-store") {
     scheme_.setup(rng_, pk_, msk_);
   }
@@ -285,6 +289,7 @@ class ShardedStoreTest : public StoreDirTest {
 
   Pairing e_;
   Apks scheme_;
+  ApksBackend backend_;
   ChaChaRng rng_;
   ApksPublicKey pk_;
   ApksMasterKey msk_;
@@ -293,7 +298,7 @@ class ShardedStoreTest : public StoreDirTest {
 TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
   std::vector<std::vector<std::uint8_t>> original;
   {
-    ShardedStore store(e_, dir_.path(), small_segments());
+    ShardedStore store(backend_, dir_.path(), small_segments());
     for (int i = 0; i < 10; ++i) {
       const EncryptedIndex enc = scheme_.gen_index(
           pk_, PlainIndex{{i % 2 == 0 ? "x" : "q", "y"}}, rng_);
@@ -308,7 +313,7 @@ TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
   // Reopen (options ask for 5 shards — the on-disk 3 must win).
   ShardedStoreOptions reopen_opts = small_segments();
   reopen_opts.shards = 5;
-  ShardedStore store(e_, dir_.path(), reopen_opts);
+  ShardedStore store(backend_, dir_.path(), reopen_opts);
   EXPECT_EQ(store.shard_count(), 3u);
   EXPECT_EQ(store.next_id(), 11u);
   const std::vector<StoredIndexRecord> records = store.load_all();
@@ -323,7 +328,7 @@ TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
 
 TEST_F(ShardedStoreTest, DiskSearchMatchesInMemoryServer) {
   CloudServer server(scheme_, CapabilityVerifier(e_, IbsPublicParams{}));
-  ShardedStore store(e_, dir_.path(), small_segments());
+  ShardedStore store(backend_, dir_.path(), small_segments());
   server.attach_store(&store);
   for (int i = 0; i < 12; ++i) {
     const bool match = i % 3 == 0;
@@ -339,7 +344,8 @@ TEST_F(ShardedStoreTest, DiskSearchMatchesInMemoryServer) {
   const auto mem = server.search_unchecked(cap, &mem_stats);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     StoreScanStats disk_stats;
-    const auto disk = store.search(scheme_, cap, threads, &disk_stats);
+    const auto disk = store.search_any(AnyQuery::ref(SchemeKind::kApks, &cap),
+                                       threads, &disk_stats);
     EXPECT_EQ(disk, mem) << threads << " threads";
     EXPECT_EQ(disk_stats.scanned, mem_stats.scanned);
     EXPECT_EQ(disk_stats.matched, mem_stats.matched);
@@ -353,7 +359,7 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   };
   CloudServer original(scheme_, verifier());
   {
-    ShardedStore store(e_, dir_.path(), small_segments());
+    ShardedStore store(backend_, dir_.path(), small_segments());
     original.attach_store(&store);
     for (int i = 0; i < 8; ++i) {
       (void)original.store(
@@ -365,7 +371,7 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   }  // "crash": the store object goes away, only the files remain
 
   // ...restart from disk and compare against the never-restarted server.
-  ShardedStore reopened(e_, dir_.path(), small_segments());
+  ShardedStore reopened(backend_, dir_.path(), small_segments());
   CloudServer restarted(scheme_, verifier());
   EXPECT_EQ(restarted.load_from(reopened), 8u);
   EXPECT_EQ(restarted.record_count(), original.record_count());
@@ -380,29 +386,15 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   EXPECT_EQ(stats_a.matched, stats_b.matched);
 
   // New uploads on the restarted server continue the id sequence.
-  ShardedStore store2(e_, dir_.path(), small_segments());
+  ShardedStore store2(backend_, dir_.path(), small_segments());
   restarted.attach_store(&store2);
   const std::uint64_t id = restarted.store(
       scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_), "doc-8");
   EXPECT_EQ(id, 9u);
 }
 
-TEST_F(ShardedStoreTest, ExplicitPutKeepsIdCounterAhead) {
-  ShardedStore store(e_, dir_.path(), small_segments());
-  const EncryptedIndex enc =
-      scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_);
-  store.put(41, "doc-41", enc);
-  EXPECT_EQ(store.next_id(), 42u);
-  EXPECT_EQ(store.append("doc-42", enc), 42u);
-  store.flush();
-  const auto records = store.load_all();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].id, 41u);
-  EXPECT_EQ(records[1].id, 42u);
-}
-
 TEST_F(ShardedStoreTest, CompactPreservesRecordsAcrossShards) {
-  ShardedStore store(e_, dir_.path(), small_segments());
+  ShardedStore store(backend_, dir_.path(), small_segments());
   const EncryptedIndex enc =
       scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_);
   for (int i = 0; i < 9; ++i) {
@@ -418,8 +410,71 @@ TEST_F(ShardedStoreTest, CompactPreservesRecordsAcrossShards) {
     EXPECT_EQ(after[i].doc_ref, before[i].doc_ref);
   }
   // And the compacted store reopens.
-  ShardedStore reopened(e_, dir_.path(), small_segments());
+  ShardedStore reopened(backend_, dir_.path(), small_segments());
   EXPECT_EQ(reopened.record_count(), 9u);
+}
+
+// Each way a STORE file can be wrong is refused with StoreError(kCorrupt)
+// naming the file, and the refused open leaves the file as it found it.
+// Layout: [magic 8] [u32 version] [u32 shards] [u8 scheme] [u64 uid]
+// [u32 crc32 of everything before].
+TEST_F(ShardedStoreTest, StoreMetaRefusalsAreTyped) {
+  { ShardedStore store(backend_, dir_.path(), small_segments()); }
+  const fs::path meta = dir_.path() / "STORE";
+  const auto read = [&] {
+    std::ifstream in(meta, std::ios::binary);
+    return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>()};
+  };
+  const auto write = [&](const std::vector<std::uint8_t>& data) {
+    std::ofstream out(meta, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+  };
+  const std::vector<std::uint8_t> good = read();
+  ASSERT_EQ(good.size(), 29u);
+  const std::vector<std::uint8_t> body(good.begin(), good.end() - 4);
+  // Appends a valid CRC, so only the field under test is wrong.
+  const auto sealed = [](std::vector<std::uint8_t> b) {
+    ByteWriter w;
+    w.raw(b);
+    w.u32(crc32(b));
+    return w.take();
+  };
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  std::vector<std::uint8_t> b = body;
+  b[0] ^= 0xFF;
+  cases.emplace_back("not a store", sealed(b));
+  std::vector<std::uint8_t> bad_crc = good;
+  bad_crc.back() ^= 0x01;
+  cases.emplace_back("checksum mismatch", bad_crc);
+  b = body;
+  b[8] = 4;  // u32 version, little-endian
+  cases.emplace_back("unsupported store version 4", sealed(b));
+  b = body;
+  b.push_back(0);
+  cases.emplace_back("trailing bytes", sealed(b));
+  b = body;
+  std::fill(b.begin() + 12, b.begin() + 16, 0);  // u32 shard count = 0
+  cases.emplace_back("implausible shard count", sealed(b));
+
+  for (const auto& [why, bytes] : cases) {
+    write(bytes);
+    try {
+      ShardedStore store(backend_, dir_.path(), small_segments());
+      ADD_FAILURE() << why << ": accepted";
+    } catch (const StoreError& ex) {
+      EXPECT_EQ(ex.code(), ErrorCode::kCorrupt) << why;
+      EXPECT_EQ(fs::path(ex.path()), meta) << why;
+      EXPECT_NE(std::string(ex.what()).find(why), std::string::npos)
+          << ex.what();
+    }
+    EXPECT_EQ(read(), bytes) << why;
+  }
+  write(good);
+  ShardedStore store(backend_, dir_.path(), small_segments());
+  EXPECT_EQ(store.shard_count(), 3u);
 }
 
 class DocStoreTest : public StoreDirTest {};

@@ -67,6 +67,13 @@ configure() {
 }
 
 if [[ $STAGE == all ]]; then
+  echo "=== tier-1: no tracked build trees ==="
+  if [[ -n "$(git ls-files -- 'build*/*')" ]]; then
+    echo "build output is tracked by git (untrack it: git rm -r --cached):"
+    git ls-files -- 'build*/*' | sed -n '1,5p'
+    exit 1
+  fi
+
   echo "=== tier-1: full build + ctest ==="
   configure build
   cmake --build build -j "$JOBS"
