@@ -15,8 +15,9 @@ int main() {
   const Apks scheme(pairing, nursery_schema(1));  // n = 10
 
   print_header("Ablation: authorization overhead & delegation depth",
-               "IBS admission is a constant ~2 pairings per query; search "
-               "cost is level-independent (n+3 pairings pair only k_dec)");
+               "IBS admission is a constant one final exponentiation per "
+               "query (a 2-slot preprocessed multi-pairing); search cost is "
+               "level-independent (n+3 pairings pair only k_dec)");
 
   TrustedAuthority ta(scheme, rng);
   Query all_any;

@@ -1,6 +1,8 @@
 // Pairing-kernel microbenchmarks: the per-operation costs behind the
 // search hot path (Miller loop, final exponentiation, multi-pairing of a
-// full capability's 13 slots) and the throughput of the lane-parallel
+// full capability's 13 slots), the capability admission check
+// (CapabilityVerifier::verify: one two-slot preprocessed multi-pairing)
+// and the throughput of the lane-parallel
 // BlockMultiPairing scan kernel on every engine the build and CPU support.
 //
 // The numbers quantify the two tentpole levers independently:
@@ -10,6 +12,7 @@
 //   - SIMD: the scan kernel drives W records through the shared Miller
 //     loop with lane-parallel Montgomery arithmetic; scalar vs avx2 vs
 //     avx512 rows isolate the vector speedup at identical outputs.
+#include "auth/authority.h"
 #include "bench/bench_util.h"
 #include "math/fp_lanes.h"
 #include "pairing/pairing_block.h"
@@ -66,6 +69,27 @@ int main(int argc, char** argv) {
   per_op("multi_miller_13", [&] { (void)e.final_exp(e.multi_miller(pairs)); });
   per_op("multi_miller_pre_13",
          [&] { (void)e.final_exp(e.multi_miller_pre(pres, qs)); });
+
+  // --- Capability admission: the production IBS check --------------------
+  // A TA-issued capability on a small schema, checked by the verifier a
+  // server runs per kAuth. Own rng, so the rows below see the same inputs.
+  {
+    ChaChaRng ibs_rng("bench-pairing-ibs");
+    const Apks scheme(e, Schema({{"illness", nullptr, 2},
+                                 {"sex", nullptr, 1},
+                                 {"provider", nullptr, 1}}));
+    TrustedAuthority ta(scheme, ibs_rng);
+    CapabilityVerifier verifier(e, ta.ibs_params());
+    verifier.register_authority("TA");
+    Query any;
+    any.terms.assign(scheme.schema().original_dims(), QueryTerm::any());
+    const SignedCapability cap = ta.issue(any, ibs_rng);
+    if (!verifier.verify(cap)) {
+      std::fprintf(stderr, "ibs_verify: a genuine capability was refused\n");
+      return 1;
+    }
+    per_op("ibs_verify", [&] { (void)verifier.verify(cap); });
+  }
 
   // --- BlockMultiPairing scan-kernel throughput per engine ----------------
   std::vector<std::vector<AffinePoint>> qrows(kRecords);

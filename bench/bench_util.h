@@ -28,20 +28,36 @@ namespace apks::bench {
 
 using Clock = std::chrono::steady_clock;
 
+// Tally of the timed calls time_op made in this process. JsonReport
+// records it, so a committed number says how many calls stand behind it.
+struct TimedIterations {
+  std::size_t measurements = 0;  // time_op calls
+  std::size_t total = 0;         // fn() calls across all measurements
+  std::size_t min = 0;           // fewest fn() calls behind one measurement
+};
+inline TimedIterations& timed_iterations() {
+  static TimedIterations tally;
+  return tally;
+}
+
 // Times `fn` repeatedly until ~`budget_ms` elapsed (at least once, at most
 // `max_iters`); returns mean seconds per call.
 inline double time_op(const std::function<void()>& fn, double budget_ms = 500,
                       int max_iters = 20) {
   const auto start = Clock::now();
-  int iters = 0;
+  std::size_t iters = 0;
   for (;;) {
     fn();
     ++iters;
     const double elapsed =
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count();
-    if (elapsed >= budget_ms || iters >= max_iters) {
-      return elapsed / 1000.0 / iters;
+    if (elapsed >= budget_ms || iters >= static_cast<std::size_t>(max_iters)) {
+      TimedIterations& tally = timed_iterations();
+      tally.min = tally.measurements == 0 ? iters : std::min(tally.min, iters);
+      tally.total += iters;
+      ++tally.measurements;
+      return elapsed / 1000.0 / static_cast<double>(iters);
     }
   }
 }
@@ -136,7 +152,9 @@ struct JsonValue {
 // timings and every integer the benches produce. The meta opens with the
 // run's provenance — build type, sanitizer, effective SIMD engine, smoke
 // flag, core count and source commit — so a committed BENCH_*.json says
-// what kind of run made it.
+// what kind of run made it. A bench that timed through time_op also gets
+// "iterations" (timed calls in all) and "min_iterations" (fewest behind
+// one measurement) at write time.
 class JsonReport {
  public:
   JsonReport(std::string bench, const BenchArgs& args)
@@ -164,14 +182,19 @@ class JsonReport {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
+    auto meta = meta_;
+    if (const TimedIterations& t = timed_iterations(); t.measurements > 0) {
+      meta.emplace_back("iterations", t.total);
+      meta.emplace_back("min_iterations", t.min);
+    }
     std::fprintf(f, "{\n  \"bench\": ");
     write_string(f, bench_);
     std::fprintf(f, ",\n  \"meta\": {");
-    for (std::size_t i = 0; i < meta_.size(); ++i) {
+    for (std::size_t i = 0; i < meta.size(); ++i) {
       std::fprintf(f, "%s", i == 0 ? "" : ", ");
-      write_string(f, meta_[i].first);
+      write_string(f, meta[i].first);
       std::fprintf(f, ": ");
-      write_value(f, meta_[i].second);
+      write_value(f, meta[i].second);
     }
     std::fprintf(f, "},\n  \"rows\": [\n");
     for (std::size_t i = 0; i < rows_.size(); ++i) {

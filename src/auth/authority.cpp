@@ -160,7 +160,7 @@ bool CapabilityVerifier::verify_message(std::span<const std::uint8_t> message,
                                         const IbsSignature& sig) const {
   const auto it = registered_.find(issuer);
   if (it == registered_.end()) return false;
-  return ibs_.verify(params_, it->second, message, sig);
+  return ibs_.verify(*key_, *it->second, message, sig);
 }
 
 }  // namespace apks

@@ -149,17 +149,23 @@ class LocalAuthority {
 };
 
 // Server-side admission check: verifies the capability signature against a
-// registered-authority list.
+// registered-authority list. The prepared verification state (the g and
+// P_pub traces, one fixed-base table per issuer) is immutable and shared,
+// so copies of a verifier never rebuild it; each copy keeps its own
+// registration list.
 class CapabilityVerifier {
  public:
-  CapabilityVerifier(const Pairing& pairing, IbsPublicParams params)
-      : ibs_(pairing), params_(std::move(params)), pairing_(&pairing) {}
+  CapabilityVerifier(const Pairing& pairing, const IbsPublicParams& params)
+      : ibs_(pairing),
+        key_(std::make_shared<const IbsVerifyKey>(ibs_.prepare(params))),
+        pairing_(&pairing) {}
 
-  // Hashes the issuer's identity point once, here, so verify pays only the
-  // pairings.
+  // Builds the issuer's fixed-base table once, here, so verify pays only
+  // the table lookups and one multi-pairing.
   void register_authority(const std::string& name) {
     if (!registered_.contains(name)) {
-      registered_.emplace(name, ibs_.identity_point(name));
+      registered_.emplace(
+          name, std::make_shared<const IbsIdentity>(ibs_.prepare_identity(name)));
     }
   }
 
@@ -179,9 +185,9 @@ class CapabilityVerifier {
 
  private:
   Ibs ibs_;
-  IbsPublicParams params_;
+  std::shared_ptr<const IbsVerifyKey> key_;
   const Pairing* pairing_;
-  std::map<std::string, AffinePoint> registered_;  // issuer -> H1(issuer)
+  std::map<std::string, std::shared_ptr<const IbsIdentity>> registered_;
 };
 
 // The byte string the IBS covers: the HPE key plus the issuer name.

@@ -49,18 +49,37 @@ IbsSignature Ibs::sign(const IbsSigningKey& key,
   return sig;
 }
 
-bool Ibs::verify(const IbsPublicParams& params, const AffinePoint& qid,
+IbsVerifyKey Ibs::prepare(const IbsPublicParams& params) const {
+  return {{e_->preprocess(e_->curve().generator()),
+           e_->preprocess(params.p_pub)}};
+}
+
+IbsIdentity Ibs::prepare_identity(std::string_view identity) const {
+  return {FixedBaseComb(e_->curve(), identity_point(identity))};
+}
+
+bool Ibs::verify(const IbsVerifyKey& key, const IbsIdentity& id,
                  std::span<const std::uint8_t> message,
                  const IbsSignature& sig) const {
   const Curve& curve = e_->curve();
   if (sig.u.inf || sig.v.inf) return false;
   if (!curve.on_curve(sig.u) || !curve.on_curve(sig.v)) return false;
-  const Fq h = challenge(message, sig.u);
-  // e(V, g) == e(U + h*Qid, Ppub).
-  const GtEl lhs = e_->pair(sig.v, curve.generator());
-  const GtEl rhs = e_->pair(curve.add(sig.u, curve.mul_fq(qid, h)),
-                            params.p_pub);
-  return lhs == rhs;
+  return check(key, id, challenge(message, sig.u), sig);
+}
+
+bool Ibs::check(const IbsVerifyKey& key, const IbsIdentity& id, const Fq& h,
+                const IbsSignature& sig) const {
+  const Curve& curve = e_->curve();
+  // h*Q_id is one exponentiation, served from the issuer's table.
+  curve.note_scalar_muls(1);
+  curve.note_precomp_base_muls(1);
+  const AffinePoint w = curve.to_affine(
+      curve.jac_add_mixed(id.comb.mul(curve, e_->fq().to_int(h)), sig.u));
+  // U == -h*Q_id would leave e(g, V) alone in the product.
+  if (w.inf) return false;
+  // e(V, g) == e(U + h*Q_id, P_pub)  <=>  e(g, V) * e(P_pub, -w) == 1.
+  const std::array<AffinePoint, 2> qs{sig.v, curve.neg(w)};
+  return e_->gt_is_one(e_->final_exp(e_->multi_miller_pre(key.traces, qs)));
 }
 
 }  // namespace apks

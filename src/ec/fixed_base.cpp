@@ -148,4 +148,49 @@ JacPoint windowed_chain(const Curve& curve,
   return acc;
 }
 
+namespace {
+
+// {P, 2^c P, 2^{2c} P, ...} with c = FixedBaseComb::kChunkBits: enough
+// chunks to cover the group order, normalized with one inversion.
+std::vector<AffinePoint> comb_spread(const Curve& curve, const AffinePoint& p) {
+  const std::size_t chunks =
+      (curve.params().q.bit_length() + FixedBaseComb::kChunkBits - 1) /
+      FixedBaseComb::kChunkBits;
+  std::vector<JacPoint> jac(chunks);
+  jac[0] = curve.to_jac(p);
+  for (std::size_t j = 1; j < chunks; ++j) {
+    jac[j] = jac[j - 1];
+    for (unsigned b = 0; b < FixedBaseComb::kChunkBits; ++b) {
+      jac[j] = curve.jac_dbl(jac[j]);
+    }
+  }
+  return curve.batch_normalize(jac);
+}
+
+}  // namespace
+
+FixedBaseComb::FixedBaseComb(const Curve& curve, const AffinePoint& p)
+    : tables_(curve, comb_spread(curve, p), kWindow, /*precomputed=*/true) {}
+
+JacPoint FixedBaseComb::mul(const Curve& curve, const FqInt& k) const {
+  // One recoding of the whole scalar keeps the signed carries exact across
+  // chunk boundaries; the last chunk also takes the digits above the group
+  // order, so every k recodes exactly. The recoding covers all 64 * kFqLimbs
+  // bits, so it always has a digit for each chunk.
+  const std::vector<std::int32_t> digits = signed_window_digits(k, kWindow);
+  const std::size_t chunks = tables_.points();
+  std::vector<RecodedScalar> parts;
+  parts.reserve(chunks);
+  std::vector<ChainTerm> terms(chunks);
+  for (std::size_t j = 0; j < chunks; ++j) {
+    const auto first =
+        digits.begin() + static_cast<std::ptrdiff_t>(j * kChunkDigits);
+    const auto last = j + 1 < chunks ? first + kChunkDigits : digits.end();
+    parts.push_back(RecodedScalar::from_digits(
+        std::vector<std::int32_t>(first, last), kWindow));
+    terms[j] = {&tables_, j, &parts[j]};
+  }
+  return windowed_chain(curve, terms);
+}
+
 }  // namespace apks

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ec/curve.h"
@@ -73,9 +74,15 @@ struct RecodedScalar {
   template <std::size_t L>
   [[nodiscard]] static RecodedScalar recode(const BigInt<L>& k,
                                             unsigned wbits) {
+    return from_digits(signed_window_digits(k, wbits), wbits);
+  }
+
+  // Wraps digits that are already recoded at width `wbits`.
+  [[nodiscard]] static RecodedScalar from_digits(
+      std::vector<std::int32_t> digits, unsigned wbits) {
     RecodedScalar r;
     r.wbits = wbits;
-    r.digits = signed_window_digits(k, wbits);
+    r.digits = std::move(digits);
     for (std::size_t j = r.digits.size(); j-- > 0;) {
       if (r.digits[j] != 0) {
         r.top_pos = static_cast<std::ptrdiff_t>(j * wbits);
@@ -138,5 +145,26 @@ struct ChainTerm {
 // touch the op counters.
 [[nodiscard]] JacPoint windowed_chain(const Curve& curve,
                                       std::span<const ChainTerm> terms);
+
+// k * P for one fixed point P, with a doubling chain one chunk long. The
+// signed digits of k are cut into chunks of kChunkDigits digits; chunk j
+// is a term against the spread point 2^{j * kChunkBits} P, so one
+// windowed_chain over all chunks runs ~kChunkBits doublings instead of one
+// per scalar bit. The tables (one row per chunk) are built once per base.
+class FixedBaseComb {
+ public:
+  static constexpr unsigned kWindow = 5;
+  static constexpr unsigned kChunkDigits = 4;
+  static constexpr unsigned kChunkBits = kWindow * kChunkDigits;
+
+  FixedBaseComb(const Curve& curve, const AffinePoint& p);
+
+  // k * P for any k, in Jacobian coordinates. Does not touch the op
+  // counters.
+  [[nodiscard]] JacPoint mul(const Curve& curve, const FqInt& k) const;
+
+ private:
+  WindowTables tables_;
+};
 
 }  // namespace apks

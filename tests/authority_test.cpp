@@ -130,10 +130,9 @@ TEST_F(AuthorityTest, ServerVerifiesSignatures) {
   EXPECT_FALSE(verifier.verify(spoofed));
 }
 
-// The verifier hashes each issuer's identity point once, at
-// register_authority, and verifies against it: its verdicts equal
-// Ibs::verify by identity string, except that an unregistered issuer is
-// refused outright.
+// The verifier prepares each issuer's table once, at register_authority,
+// and verifies against it: its verdicts equal Ibs::verify by identity
+// string, except that an unregistered issuer is refused outright.
 TEST_F(AuthorityTest, CachedIssuerPointVerifyMatchesIbsVerify) {
   CapabilityVerifier verifier(e_, ta_.ibs_params());
   verifier.register_authority("hospital-A");
@@ -172,6 +171,57 @@ TEST_F(AuthorityTest, CachedIssuerPointVerifyMatchesIbsVerify) {
   EXPECT_TRUE(ibs.verify(ta_.ibs_params(), from_ta.issuer, ta_msg,
                          from_ta.sig));
   EXPECT_FALSE(verifier.verify_message(ta_msg, from_ta.issuer, from_ta.sig));
+}
+
+// Copies share the prepared traces and issuer tables but keep their own
+// registration lists: a copy verifies exactly what its own registrations
+// admit, whether it was taken before or after register_authority.
+TEST_F(AuthorityTest, CopiedVerifierVerifiesAsOriginal) {
+  const auto good = lta_->delegate_for_user(
+      "peter", q_any(QueryTerm::equals("Diabetes")), rng_);
+  ASSERT_TRUE(good.has_value());
+  auto forged = *good;
+  forged.sig.v = e_.curve().add(forged.sig.v, e_.curve().generator());
+
+  CapabilityVerifier original(e_, ta_.ibs_params());
+  const CapabilityVerifier copied_before = original;
+  EXPECT_FALSE(copied_before.verify(*good));
+  original.register_authority("hospital-A");
+  EXPECT_TRUE(original.verify(*good));
+  EXPECT_FALSE(copied_before.verify(*good));  // its own list is still empty
+
+  CapabilityVerifier copied_after = original;
+  EXPECT_TRUE(copied_after.verify(*good));
+  EXPECT_FALSE(copied_after.verify(forged));
+  CapabilityVerifier assigned = copied_before;
+  assigned = copied_after;
+  EXPECT_TRUE(assigned.verify(*good));
+  EXPECT_FALSE(assigned.verify(forged));
+
+  CapabilityVerifier registered_late = copied_before;
+  registered_late.register_authority("hospital-A");
+  EXPECT_TRUE(registered_late.verify(*good));
+  EXPECT_FALSE(registered_late.verify(forged));
+  EXPECT_FALSE(copied_before.verify(*good));
+}
+
+// Only registered issuers are served, however genuine the signature.
+TEST_F(AuthorityTest, UnregisteredIssuerRefused) {
+  CapabilityVerifier verifier(e_, ta_.ibs_params());
+  verifier.register_authority("TA");
+  const auto good = lta_->delegate_for_user(
+      "peter", q_any(QueryTerm::equals("Diabetes")), rng_);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_TRUE(Ibs(e_).verify(ta_.ibs_params(), good->issuer,
+                             capability_message(e_, good->cap, good->issuer),
+                             good->sig));
+  EXPECT_FALSE(verifier.verify(*good));
+  auto renamed = *good;
+  renamed.issuer = "mallory";
+  EXPECT_FALSE(verifier.verify(renamed));
+  // A verifier with no registrations refuses everything.
+  const CapabilityVerifier empty(e_, ta_.ibs_params());
+  EXPECT_FALSE(empty.verify(ta_.issue(q_any(), rng_)));
 }
 
 TEST_F(AuthorityTest, SignedCapabilityWireRoundTrip) {

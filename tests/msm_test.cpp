@@ -107,6 +107,26 @@ TEST_F(MsmTest, ChainHandlesScalarsAboveGroupOrder) {
   }
 }
 
+// The fixed-base comb cuts one recoding into chunks; a signed carry that
+// crosses a chunk boundary, or runs past the group order, must land.
+TEST_F(MsmTest, FixedBaseCombMatchesLadder) {
+  const Curve& curve = e_.curve();
+  const AffinePoint p = curve.random_point(rng_);
+  const FixedBaseComb comb(curve, p);
+  const FqInt q = curve.fq().modulus();
+  FqInt ones;
+  for (auto& wl : ones.w) wl = ~std::uint64_t{0};
+  FqInt low160;  // 2^160 - 1: every digit carries into the next chunk
+  low160.w = {~std::uint64_t{0}, ~std::uint64_t{0}, 0xffffffffu};
+  std::vector<FqInt> ks{FqInt(0), FqInt(1),  q - FqInt(1), q,
+                        q + FqInt(3), ones, low160};
+  for (int i = 0; i < 32; ++i) ks.push_back(curve.fq().to_int(e_.fq().random(rng_)));
+  for (const FqInt& k : ks) {
+    EXPECT_EQ(curve.to_affine(comb.mul(curve, k)), curve.mul(p, k))
+        << to_hex(k);
+  }
+}
+
 TEST_F(MsmTest, LincombEnginesAgreeOnMixedTerms) {
   const Dpvs dpvs(e_, 5);
   const FqField& fq = e_.fq();

@@ -4,10 +4,12 @@
 # artifact, a ThreadSanitizer build of the cloud/server concurrency tests,
 # a UBSan build of the scheme-backend surface (mrqed, proxy ingest,
 # backend type-erasure), a UBSan pairing stage that runs the
-# multi-pairing/SIMD-kernel and batched point-decode tests with the lane
-# engines forced on and off (APKS_FORCE_SCALAR), and a serving stage for
-# the network layer (TSan server+client loopback tests, the ASan
-# hostile-frame sweep, and the serving load-generator smoke artifact),
+# multi-pairing/SIMD-kernel, batched point-decode and IBS verification
+# tests (the verify runs a preprocessed multi-pairing over window tables)
+# with the lane engines forced on and off (APKS_FORCE_SCALAR), and a
+# serving stage for the network layer (TSan server+client loopback tests,
+# the ASan hostile-frame sweep, and the serving load-generator smoke
+# artifact),
 # plus the end-to-end benchmark's --check run. Smoke and sanitized bench
 # artifacts are written into the build tree they came from; the committed
 # BENCH_*.json files come only from Release, non-smoke runs.
@@ -142,12 +144,13 @@ if [[ $STAGE == all || $STAGE == ubsan ]]; then
   done
 fi
 if [[ $STAGE == all || $STAGE == pairing ]]; then
-  echo "=== pairing: UBSan multi-pairing, SIMD lane engines and batched point decode (forced on/off) ==="
+  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, batched point decode and IBS verify (forced on/off) ==="
   configure build-ubsan -DAPKS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target pairing_test \
-    multi_pairing_test curve_test serialize_test fuzz_test bench_pairing
+    multi_pairing_test curve_test serialize_test fuzz_test ibs_test \
+    authority_test bench_pairing
   for t in pairing_test multi_pairing_test curve_test serialize_test \
-      fuzz_test; do
+      fuzz_test ibs_test authority_test; do
     echo "--- $t (UBSan, SIMD auto) ---"
     ./build-ubsan/tests/"$t"
     echo "--- $t (UBSan, APKS_FORCE_SCALAR=1) ---"
