@@ -79,14 +79,16 @@ int main() {
         hot_only ? std::vector<SignedCapability>(kQ, hot) : mixed;
     const char* label = hot_only ? "hot-key (Q identical)" : "mixed";
 
-    // Baseline: Q independent verified searches (Q prepares by design).
+    // Baseline: Q independent verified single-query searches on one worker
+    // with no prepared cache (Q prepares by design).
+    const SearchEngine single(server, {.threads = 1, .cache_capacity = 0});
     const PairingOpCounts seq_c0 = pairing.op_counts();
     std::vector<std::vector<std::string>> seq;
-    for (const auto& cap : batch) seq.push_back(server.search(cap));
+    for (const auto& cap : batch) seq.push_back(single.search(cap));
     const PairingOpCounts seq_ops = pairing.op_counts() - seq_c0;
     const double seq_s = time_op(
         [&] {
-          for (const auto& cap : batch) (void)server.search(cap);
+          for (const auto& cap : batch) (void)single.search(cap);
         },
         300, 4);
 

@@ -13,6 +13,7 @@
 #include <filesystem>
 
 #include "bench/bench_util.h"
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "core/serialize_apks.h"
 #include "store/sharded_store.h"
@@ -120,10 +121,13 @@ int main(int argc, char** argv) {
                   {"records_per_s", reload_rps}});
 
   // --- Scan: on-disk shard-parallel stream vs the in-memory record vector,
-  // same capability, same worst-case query.
+  // same capability, same worst-case query. The in-memory scan is the
+  // server's one scan, SearchEngine on one worker; with its prepared cache
+  // off it prepares on every call, as the disk scan does.
+  const SearchEngine engine(server, {.threads = 1, .cache_capacity = 0});
   const double mem_s = time_op_median(
-      [&] { (void)server.search_unchecked(cap); }, args.smoke ? 200 : 500,
-      args.smoke ? 3 : 8);
+      [&] { (void)engine.search_batch_unchecked({&cap, 1}); },
+      args.smoke ? 200 : 500, args.smoke ? 3 : 8);
   const double disk_s = time_op_median(
       [&] { (void)store.search_any(query, 1); }, args.smoke ? 200 : 500,
       args.smoke ? 3 : 8);

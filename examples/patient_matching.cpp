@@ -6,6 +6,7 @@
 // Build & run:  ./build/examples/patient_matching
 #include <cstdio>
 
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "core/time_attr.h"
 #include "data/phr.h"
@@ -78,7 +79,7 @@ int main() {
   std::printf("ann's matching capability issued (level %zu)\n",
               cap->cap.key.level);
 
-  const auto matches = server.search(*cap);
+  const auto matches = SearchEngine(server).search(*cap);
   std::printf("matches (%zu):\n", matches.size());
   for (const auto& m : matches) std::printf("  %s\n", m.c_str());
   // Expected: patient-1 and patient-2. Patient-3 has a different illness;

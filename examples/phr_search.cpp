@@ -6,6 +6,7 @@
 // Build & run:  ./build/examples/phr_search
 #include <cstdio>
 
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "data/phr.h"
 
@@ -71,8 +72,9 @@ int main() {
   std::printf("capability issued by %s (level %zu)\n", cap->issuer.c_str(),
               cap->cap.key.level);
 
-  CloudServer::SearchStats stats;
-  const auto docs = server.search(*cap, &stats);
+  const SearchEngine engine(server);
+  ServerMetrics stats;
+  const auto docs = engine.search(*cap, &stats);
   std::printf("server scanned %zu records, %zu matched:\n", stats.scanned,
               stats.matched);
   for (const auto& d : docs) std::printf("  %s\n", d.c_str());
@@ -90,8 +92,8 @@ int main() {
   // --- A forged capability is refused at the server ------------------------
   auto forged = *cap;
   forged.issuer = "hospital-Z";
-  CloudServer::SearchStats forged_stats;
-  (void)server.search(forged, &forged_stats);
+  ServerMetrics forged_stats;
+  (void)engine.search(forged, &forged_stats);
   std::printf("forged capability authorized? %s (expect no)\n",
               forged_stats.authorized ? "yes" : "no");
   return 0;

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "cloud/docstore.h"
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "core/query_parser.h"
 #include "data/phr.h"
@@ -55,7 +56,7 @@ int main() {
   const Query q = parse_query(scheme.schema(),
                               "age : 34-100 @ 2; illness = diabetes");
   const auto cap = ta.issue(q, rng);
-  const auto refs = server.search(cap);
+  const auto refs = SearchEngine(server).search(cap);
   std::printf("search [%s] -> %zu refs\n",
               format_query(scheme.schema(), q).c_str(), refs.size());
 

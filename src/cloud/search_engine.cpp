@@ -62,16 +62,29 @@ struct InflightGuard {
   std::atomic<std::size_t>* counter_;
 };
 
+// Wraps a typed APKS capability for the scan path; throws for non-APKS
+// backends. The handle borrows `cap`, so it lives only as long as the call.
+AnyQuery borrow_capability(const SearchBackend& backend,
+                           const Capability& cap) {
+  if (backend.kind() != SchemeKind::kApks &&
+      backend.kind() != SchemeKind::kApksPlus) {
+    throw std::invalid_argument("SearchEngine: typed APKS capability on a '" +
+                                std::string(backend.name()) + "' backend");
+  }
+  return AnyQuery::ref(backend.kind(), &cap);
+}
+
 }  // namespace
 
 std::vector<std::vector<std::string>> SearchEngine::search_batch(
     std::span<const SignedCapability> caps, BatchMetrics* metrics,
     const ServeControl& control) const {
+  const SearchBackend& backend = server_->backend();
   std::vector<AnyQuery> raw(caps.size());
   std::vector<char> serve(caps.size());
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    raw[i] = server_->borrow_capability(caps[i].cap);
-    serve[i] = server_->verifier_.verify(caps[i]) ? 1 : 0;
+    raw[i] = borrow_capability(backend, caps[i].cap);
+    serve[i] = server_->verifier().verify(caps[i]) ? 1 : 0;
   }
   return run_batch(raw, serve, /*checked=*/true, metrics, control);
 }
@@ -84,7 +97,7 @@ std::vector<std::vector<std::string>> SearchEngine::search_batch_signed(
   std::vector<char> serve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     raw[i] = queries[i].query;
-    serve[i] = server_->verifier_.verify(backend, queries[i]) ? 1 : 0;
+    serve[i] = server_->verifier().verify(backend, queries[i]) ? 1 : 0;
   }
   return run_batch(raw, serve, /*checked=*/true, metrics, control);
 }
@@ -95,7 +108,7 @@ std::vector<std::vector<std::string>> SearchEngine::search_batch_unchecked(
   std::vector<AnyQuery> raw(caps.size());
   const std::vector<char> serve(caps.size(), 1);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    raw[i] = server_->borrow_capability(caps[i]);
+    raw[i] = borrow_capability(server_->backend(), caps[i]);
   }
   return run_batch(raw, serve, /*checked=*/false, metrics, control);
 }
@@ -122,11 +135,22 @@ std::vector<std::string> SearchEngine::search(const SignedCapability& cap,
                                               ServerMetrics* metrics,
                                               const ServeControl& control)
     const {
+  // A stopped batch fills its metrics before it throws; pass them on then
+  // too. A shed batch throws before it has any.
   BatchMetrics batch;
-  auto out = search_batch({&cap, 1}, metrics != nullptr ? &batch : nullptr,
-                          control);
-  if (metrics != nullptr) *metrics = batch.per_query[0];
-  return std::move(out[0]);
+  const auto copy_metrics = [&] {
+    if (metrics != nullptr && !batch.per_query.empty()) {
+      *metrics = batch.per_query[0];
+    }
+  };
+  try {
+    auto out = search_batch({&cap, 1}, &batch, control);
+    copy_metrics();
+    return std::move(out[0]);
+  } catch (...) {
+    copy_metrics();
+    throw;
+  }
 }
 
 std::vector<std::vector<std::string>> SearchEngine::run_batch(
@@ -467,7 +491,10 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
   if (outcome != kRun) {
     bm.deadline_exceeded = outcome == kStopDeadline;
     bm.cancelled = outcome == kStopCancelled;
-    for (const std::size_t q : active) {
+    // Every served query carries the outcome, including one stopped
+    // before its prepare ran.
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      if (serve[q] == 0) continue;
       bm.per_query[q].deadline_exceeded = bm.deadline_exceeded;
       bm.per_query[q].cancelled = bm.cancelled;
     }

@@ -1,10 +1,10 @@
-// Batched multi-query serving layer over CloudServer (the ROADMAP's
-// heavy-traffic path).
+// The server's search: the one scan over CloudServer's record set.
 //
 // The paper's search protocol is a per-capability linear scan (Sec. 5.2,
 // Fig. 6); under many concurrent users the server should amortize that scan
 // across queries instead of repeating it per query. SearchEngine serves a
-// batch of Q signed queries over a SINGLE pass of the record store:
+// batch of Q signed queries over a SINGLE pass of the record store, and a
+// single search is a batch of one:
 //
 //   1. verify all authority signatures up front (unauthorized queries are
 //      never scanned),
@@ -15,7 +15,8 @@
 //      and the query is not re-hashed),
 //   3. scan records in blocks, evaluating every query against a block
 //      while it is cache-hot, with a work-stealing pool of worker threads
-//      shared across all queries of the batch. Records tagged with a
+//      shared across all queries of the batch (the paper's remark that the
+//      linear scan parallelizes across server cores). Records tagged with a
 //      sealed-segment identity (CloudServer::load_from) are first resolved
 //      against the per-segment verdict cache (verdict_cache.h): a memoized
 //      (digest, segment) verdict answers the record with a binary search
@@ -30,12 +31,17 @@
 // Capability-typed entry points are thin wrappers for APKS-family servers.
 //
 // Results are per query, in record order, and bit-identical to Q
-// independent CloudServer::search calls. ServerMetrics extends the plain
-// SearchStats with wall time, pairing-operation counts (Miller loops and
-// final exponentiations, the paper's cost unit), and cache behaviour.
+// single-query batches, whatever the thread count and block size.
+// ServerMetrics carries the per-query outcome (authorized, scanned,
+// matched, deadline/cancel flags) plus wall time, pairing-operation counts
+// (Miller loops and final exponentiations, the paper's cost unit), and
+// cache behaviour.
 //
-// Naming rule (same as CloudServer): entry points that skip the signature
-// check carry "unchecked" in their name and exist for benchmarks/CLI use.
+// Naming rule: entry points that skip the signature check carry
+// "unchecked" in their name and exist for benchmarks/CLI use (timing the
+// cryptographic scan in isolation) and for callers that check
+// authorization out of band. Production callers use the signed entry
+// points.
 #pragma once
 
 #include <atomic>
@@ -157,7 +163,7 @@ class SearchEngine {
                            : nullptr)) {}
 
   // Serve a batch: one result vector per capability, in record order,
-  // identical to independent CloudServer::search calls. Unauthorized
+  // identical to serving each capability as a batch of one. Unauthorized
   // capabilities yield an empty result with zero records scanned.
   // Requires an APKS-family server backend.
   //
@@ -179,7 +185,9 @@ class SearchEngine {
       std::span<const SignedQuery> queries, BatchMetrics* metrics = nullptr,
       const ServeControl& control = {}) const;
 
-  // Single verified query through the same cache + scan machinery.
+  // Single verified query: a batch of one. On DeadlineExceeded or
+  // ServingError(kCancelled) `metrics` is filled before the throw, as for
+  // a batch.
   [[nodiscard]] std::vector<std::string> search(
       const SignedCapability& cap, ServerMetrics* metrics = nullptr,
       const ServeControl& control = {}) const;

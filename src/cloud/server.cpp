@@ -1,22 +1,12 @@
 #include "cloud/server.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
-
-#include "common/failpoint.h"
 
 namespace apks {
 
 namespace {
-
-// How often the single-query scan polls its ServeControl: every block of
-// this many records (one pairing-based match per record, so the overshoot
-// past a deadline is at most this many match calls).
-constexpr std::size_t kScanCheckRecords = 8;
 
 [[nodiscard]] bool is_apks_family(SchemeKind kind) noexcept {
   return kind == SchemeKind::kApks || kind == SchemeKind::kApksPlus;
@@ -34,25 +24,6 @@ void require_scheme_match(const SearchBackend& backend,
 }
 
 }  // namespace
-
-const Apks& CloudServer::scheme() const {
-  const auto* apks = dynamic_cast<const ApksBackend*>(backend_);
-  if (apks == nullptr) {
-    throw std::logic_error("CloudServer::scheme: backend '" +
-                           std::string(backend_->name()) +
-                           "' is not APKS-family");
-  }
-  return apks->scheme();
-}
-
-AnyQuery CloudServer::borrow_capability(const Capability& cap) const {
-  if (!is_apks_family(backend_->kind())) {
-    throw std::invalid_argument(
-        "CloudServer: typed APKS capability on a '" +
-        std::string(backend_->name()) + "' backend");
-  }
-  return AnyQuery::ref(backend_->kind(), &cap);
-}
 
 std::uint64_t CloudServer::store(EncryptedIndex index, std::string doc_ref) {
   if (!is_apks_family(backend_->kind())) {
@@ -159,168 +130,6 @@ std::size_t CloudServer::load_from(ShardedStore& store) {
     next_id_ = std::max(next_id_, l.rec.id + 1);
   }
   return records_.size();
-}
-
-std::vector<std::string> CloudServer::search(const SignedCapability& cap,
-                                             SearchStats* stats) const {
-  if (stats != nullptr) *stats = SearchStats{};
-  if (!verifier_.verify(cap)) return {};
-  if (stats != nullptr) stats->authorized = true;
-  std::shared_lock lock(mutex_);
-  return scan_locked(borrow_capability(cap.cap), stats);
-}
-
-std::vector<std::string> CloudServer::search_signed(const SignedQuery& query,
-                                                    SearchStats* stats) const {
-  if (stats != nullptr) *stats = SearchStats{};
-  if (!verifier_.verify(*backend_, query)) return {};
-  if (stats != nullptr) stats->authorized = true;
-  std::shared_lock lock(mutex_);
-  return scan_locked(query.query, stats);
-}
-
-std::vector<std::string> CloudServer::search(const SignedCapability& cap,
-                                             const ServeControl& control,
-                                             SearchStats* stats) const {
-  if (stats != nullptr) *stats = SearchStats{};
-  if (!verifier_.verify(cap)) return {};
-  if (stats != nullptr) stats->authorized = true;
-  std::shared_lock lock(mutex_);
-  return scan_locked(borrow_capability(cap.cap), stats, &control);
-}
-
-std::vector<std::string> CloudServer::search_signed(const SignedQuery& query,
-                                                    const ServeControl& control,
-                                                    SearchStats* stats) const {
-  if (stats != nullptr) *stats = SearchStats{};
-  if (!verifier_.verify(*backend_, query)) return {};
-  if (stats != nullptr) stats->authorized = true;
-  std::shared_lock lock(mutex_);
-  return scan_locked(query.query, stats, &control);
-}
-
-std::vector<std::string> CloudServer::search_parallel(
-    const SignedCapability& cap, std::size_t threads,
-    SearchStats* stats) const {
-  if (stats != nullptr) *stats = SearchStats{};
-  if (!verifier_.verify(cap)) return {};
-  if (stats != nullptr) stats->authorized = true;
-  std::shared_lock lock(mutex_);
-  return scan_parallel_locked(borrow_capability(cap.cap), threads, stats);
-}
-
-std::vector<std::string> CloudServer::search_unchecked(
-    const Capability& cap, SearchStats* stats) const {
-  std::shared_lock lock(mutex_);
-  return scan_locked(borrow_capability(cap), stats);
-}
-
-std::vector<std::string> CloudServer::search_unchecked_any(
-    const AnyQuery& query, SearchStats* stats) const {
-  std::shared_lock lock(mutex_);
-  return scan_locked(query, stats);
-}
-
-std::vector<std::string> CloudServer::search_parallel_unchecked(
-    const Capability& cap, std::size_t threads, SearchStats* stats) const {
-  std::shared_lock lock(mutex_);
-  return scan_parallel_locked(borrow_capability(cap), threads, stats);
-}
-
-std::vector<std::string> CloudServer::search_parallel_unchecked_any(
-    const AnyQuery& query, std::size_t threads, SearchStats* stats) const {
-  std::shared_lock lock(mutex_);
-  return scan_parallel_locked(query, threads, stats);
-}
-
-std::vector<std::string> CloudServer::scan_locked(
-    const AnyQuery& query, SearchStats* stats,
-    const ServeControl* control) const {
-  using Clock = std::chrono::steady_clock;
-  const bool has_deadline = control != nullptr && control->deadline_ms != 0;
-  const Clock::time_point deadline_at =
-      has_deadline
-          ? Clock::now() + std::chrono::milliseconds(control->deadline_ms)
-          : Clock::time_point{};
-
-  std::size_t scanned = 0;
-  std::size_t matched = 0;
-  const AnyPrepared prepared = backend_->prepare(query);
-  std::vector<std::string> matches;
-  for (const auto& record : records_) {
-    if (control != nullptr && scanned % kScanCheckRecords == 0) {
-      // Block boundary: the only place a request gives up. Chaos tests arm
-      // this site with a delay to force deadlines deterministically.
-      (void)failpoint("server.scan_block");
-      const bool cancelled = control->cancel != nullptr &&
-                             control->cancel->load(std::memory_order_relaxed);
-      if (cancelled || (has_deadline && Clock::now() >= deadline_at)) {
-        if (stats != nullptr) {
-          stats->scanned = scanned;
-          stats->matched = matched;
-          stats->cancelled = cancelled;
-          stats->deadline_exceeded = !cancelled;
-        }
-        if (cancelled) {
-          throw ServingError(ErrorCode::kCancelled,
-                             "search cancelled after " +
-                                 std::to_string(scanned) + " records");
-        }
-        throw DeadlineExceeded("search deadline (" +
-                               std::to_string(control->deadline_ms) +
-                               " ms) exceeded after " +
-                               std::to_string(scanned) + " records");
-      }
-    }
-    ++scanned;
-    if (backend_->match(prepared, record.index)) {
-      ++matched;
-      matches.push_back(record.doc_ref);
-    }
-  }
-  if (stats != nullptr) {
-    stats->scanned = scanned;
-    stats->matched = matched;
-  }
-  return matches;
-}
-
-std::vector<std::string> CloudServer::scan_parallel_locked(
-    const AnyQuery& query, std::size_t threads, SearchStats* stats) const {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, std::max<std::size_t>(1, records_.size()));
-  if (threads <= 1) return scan_locked(query, stats);
-
-  const AnyPrepared prepared = backend_->prepare(query);
-  std::vector<char> hit(records_.size(), 0);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= records_.size()) return;
-      hit[i] = backend_->match(prepared, records_[i].index) ? 1 : 0;
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-
-  std::size_t matched = 0;
-  std::vector<std::string> matches;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (hit[i] != 0) {
-      ++matched;
-      matches.push_back(records_[i].doc_ref);
-    }
-  }
-  if (stats != nullptr) {
-    stats->scanned = records_.size();
-    stats->matched = matched;
-  }
-  return matches;
 }
 
 }  // namespace apks

@@ -1,32 +1,31 @@
-// The honest-but-curious cloud server of the system model (Fig. 1 / Fig. 6).
+// The honest-but-curious cloud server of the system model (Fig. 1 / Fig. 6):
+// the record set.
 //
-// Stores encrypted indexes contributed by multiple owners and serves
-// searches: it verifies the query's authority signature, preprocesses the
-// query's pairing argument once, then scans the whole database (searchable
-// encryption reveals nothing that would allow sub-linear filtering).
-// Returns the document references of matching records.
+// CloudServer holds the encrypted indexes contributed by multiple owners,
+// in upload (ascending-id) order: owner ingest (`store`), write-through
+// persistence (`attach_store`), restart (`restore`, `load_from`) and the
+// sealed-segment table the verdict cache keys on. It also carries the
+// SearchBackend that does all the crypto and the CapabilityVerifier that
+// checks the authority signature on a query.
 //
-// The server is scheme-agnostic: all crypto goes through a SearchBackend
-// (core/backend.h), so the same store -> prepare -> match -> stats path
-// serves APKS, APKS+ (whose proxy transformation chain rides the backend's
-// ingest hooks) and the MRQED^D comparison baseline. The APKS-typed entry
-// points below are thin wrappers kept for the basic deployment and the
-// existing tests/benches; they require an APKS-family backend.
+// Searching is SearchEngine's job (search_engine.h). The paper's one
+// server Search (signature check, preprocessing once, linear scan over the
+// whole database) is a batch of one query there: searchable encryption
+// reveals nothing that would allow sub-linear filtering, so every batch
+// scans every record.
+//
+// The server is scheme-agnostic: APKS, APKS+ (whose proxy transformation
+// chain rides the backend's ingest hooks) and the MRQED^D comparison
+// baseline share this record set. The APKS-typed `store`/`restore` are
+// thin wrappers for the basic deployment; they require an APKS-family
+// backend.
 //
 // Concurrency contract: `store` is a writer and may run concurrently with
-// any number of searches — the record store is guarded by a shared_mutex
-// (searches hold it shared for the whole scan, including the worker threads
-// of the parallel paths, so a scan always sees a consistent snapshot).
-// Batched multi-query serving lives in SearchEngine (search_engine.h).
-//
-// API naming rule: every public search entry point that skips the
-// authority-signature check carries "unchecked" in its name. The unchecked
-// variants exist for benchmarks (timing the cryptographic scan in
-// isolation) and for deployments that check authorization out of band —
-// production callers use the SignedCapability/SignedQuery overloads.
+// any number of searches. The record set is guarded by a shared_mutex that
+// a SearchEngine scan holds shared for the whole pass (its worker threads
+// included), so a scan always sees a consistent snapshot.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
@@ -43,10 +42,6 @@ namespace apks {
 
 class SearchEngine;
 
-// ServeControl (per-request deadline / cancellation / partial_ok) lives in
-// core/backend.h so the storage layer's streamed disk scans honour the
-// same limits as the in-memory serving paths.
-
 class CloudServer {
  public:
   struct Record {
@@ -59,18 +54,6 @@ class CloudServer {
     // cache. Write-through store() and restore() leave it at -1: those
     // records land in the active tail, which is mutable by definition.
     std::int32_t segment = -1;
-  };
-
-  // Layered stats: the authorization layer owns `authorized`; the scan
-  // layer owns `scanned`/`matched` and never touches the former. When a
-  // deadline-aware search throws, the stats out-param has already been
-  // filled with the partial progress and the matching outcome flag.
-  struct SearchStats {
-    bool authorized = false;
-    std::size_t scanned = 0;
-    std::size_t matched = 0;
-    bool deadline_exceeded = false;
-    bool cancelled = false;
   };
 
   // Basic-APKS deployment: the server owns an ApksBackend over `scheme`.
@@ -100,7 +83,7 @@ class CloudServer {
   // through to it, and record ids are drawn from its id counter so a
   // restarted server continues the same id sequence. The store's scheme
   // tag must match the backend's. Pass nullptr to detach. Not thread-safe
-  // against concurrent store()/search() — call during setup. The store
+  // against a concurrent store() or search — call during setup. The store
   // must outlive the server (or be detached).
   void attach_store(ShardedStore* store);
 
@@ -138,76 +121,12 @@ class CloudServer {
   [[nodiscard]] const SearchBackend& backend() const noexcept {
     return *backend_;
   }
-  // The APKS scheme behind an APKS-family backend; throws std::logic_error
-  // for other backends (MRQED has no Apks).
-  [[nodiscard]] const Apks& scheme() const;
   [[nodiscard]] const CapabilityVerifier& verifier() const noexcept {
     return verifier_;
   }
 
-  // Full search protocol: signature check, preprocessing, linear scan.
-  // Returns matching doc_refs (empty if the capability is not authorized —
-  // inspect stats.authorized to distinguish).
-  [[nodiscard]] std::vector<std::string> search(const SignedCapability& cap,
-                                                SearchStats* stats = nullptr)
-      const;
-
-  // Scheme-agnostic full protocol: the signature is verified over the
-  // backend's query_message (identical bytes to the SignedCapability path
-  // for APKS-family backends).
-  [[nodiscard]] std::vector<std::string> search_signed(
-      const SignedQuery& query, SearchStats* stats = nullptr) const;
-
-  // Deadline-aware variants: the scan checks `control` at block boundaries
-  // and throws DeadlineExceeded / ServingError(kCancelled) when it fires
-  // (stats, if given, hold the partial progress and the outcome flag).
-  // With a default-constructed control these behave exactly like the plain
-  // overloads. Batched deadline-aware serving lives in SearchEngine.
-  [[nodiscard]] std::vector<std::string> search(const SignedCapability& cap,
-                                                const ServeControl& control,
-                                                SearchStats* stats = nullptr)
-      const;
-  [[nodiscard]] std::vector<std::string> search_signed(
-      const SignedQuery& query, const ServeControl& control,
-      SearchStats* stats = nullptr) const;
-
-  // Verified parallel scan across `threads` workers (the paper notes the
-  // linear scan parallelizes trivially across server cores). threads == 0
-  // uses the hardware concurrency. Results are in record order regardless
-  // of the thread count.
-  [[nodiscard]] std::vector<std::string> search_parallel(
-      const SignedCapability& cap, std::size_t threads,
-      SearchStats* stats = nullptr) const;
-
-  // Bench-only: search with a raw capability/query, skipping the
-  // authorization layer entirely. Fills only the scan-layer stats fields.
-  [[nodiscard]] std::vector<std::string> search_unchecked(
-      const Capability& cap, SearchStats* stats = nullptr) const;
-  [[nodiscard]] std::vector<std::string> search_unchecked_any(
-      const AnyQuery& query, SearchStats* stats = nullptr) const;
-
-  // Bench-only parallel variants.
-  [[nodiscard]] std::vector<std::string> search_parallel_unchecked(
-      const Capability& cap, std::size_t threads,
-      SearchStats* stats = nullptr) const;
-  [[nodiscard]] std::vector<std::string> search_parallel_unchecked_any(
-      const AnyQuery& query, std::size_t threads,
-      SearchStats* stats = nullptr) const;
-
  private:
   friend class SearchEngine;  // scans records_ under mutex_ directly
-
-  // Wraps a typed APKS capability for the scan path; throws for non-APKS
-  // backends. The returned handle borrows `cap` — scan-call lifetime only.
-  [[nodiscard]] AnyQuery borrow_capability(const Capability& cap) const;
-
-  // Scan body; caller must hold mutex_ (shared). `control` (optional) is
-  // checked every kScanCheckRecords records.
-  [[nodiscard]] std::vector<std::string> scan_locked(
-      const AnyQuery& query, SearchStats* stats,
-      const ServeControl* control = nullptr) const;
-  [[nodiscard]] std::vector<std::string> scan_parallel_locked(
-      const AnyQuery& query, std::size_t threads, SearchStats* stats) const;
 
   std::unique_ptr<ApksBackend> owned_backend_;  // legacy-ctor ownership
   const SearchBackend* backend_;

@@ -171,7 +171,7 @@ class Coordinator {
   // Full protocol: verify the authority signature once (memoized in the
   // bounded LRU), then scatter. An unauthorized query returns empty with
   // stats.authorized == false and never touches the network (same
-  // contract as CloudServer::search_signed).
+  // contract as SearchEngine::search_batch_signed).
   [[nodiscard]] std::vector<std::string> search_signed(
       const SignedQuery& query, ClusterSearchStats* stats = nullptr,
       const ServeControl& control = {});

@@ -22,8 +22,8 @@
 //
 // Responses stream: matched doc_refs are flushed in bounded kResultChunk
 // frames and the terminal kResultEnd carries the wire status plus the
-// SearchStats-equivalent counters, so a deadline or shed request yields a
-// truncated-but-well-formed prefix, not a broken stream.
+// ServerMetrics counters (scanned/matched), so a deadline or shed request
+// yields a truncated-but-well-formed prefix, not a broken stream.
 //
 // Status codes map the serving ErrorCode taxonomy (core/backend.h) 1:1 —
 // the numeric values are identical for codes 1..7 — with protocol-level
@@ -209,7 +209,7 @@ struct ResultEndMsg {
   std::uint64_t request_id = 0;
   WireStatus status = WireStatus::kOk;
   std::uint8_t flags = 0;
-  std::uint64_t scanned = 0;  // SearchStats equivalents
+  std::uint64_t scanned = 0;  // ServerMetrics equivalents
   std::uint64_t matched = 0;
   std::uint64_t wall_us = 0;
   std::string message;  // failure detail when status != kOk

@@ -113,9 +113,9 @@ class ShardedStore {
   // Linear scan directly over the on-disk segments, shard-parallel:
   // prepares the query with the store's backend, then decodes and matches
   // each record as it streams, never holding more than one record per
-  // worker in memory. Results are in ascending-id order — identical to
-  // CloudServer::search over the same records. threads == 0 uses hardware
-  // concurrency (capped at the shard count).
+  // worker in memory. Results are in ascending-id order — identical to a
+  // SearchEngine scan of a CloudServer over the same records. threads == 0
+  // uses hardware concurrency (capped at the shard count).
   //
   // `control` is polled per streamed record (the disk scan's block size is
   // one record): a deadline or cancellation stops every shard worker

@@ -246,8 +246,8 @@ TEST_F(ChaosTest, ProxyFailoverKeepsTransformBytesIdentical) {
 // With every replica of one share dead, uploads park (progress on the
 // other shares retained — shares commute) and drain after recovery. Zero
 // indexes lost, and a server fed by the drained pool serves byte-identical
-// results — same doc_refs, same order, same SearchStats — as a fault-free
-// twin.
+// results — same doc_refs, same order, same scanned/matched counts — as a
+// fault-free twin.
 TEST_F(ChaosTest, ParkedUploadsDrainAfterRecoveryWithZeroLoss) {
   PlusEnv& env = plus_env();
   ProxyPoolOptions opts;
@@ -302,10 +302,10 @@ TEST_F(ChaosTest, ParkedUploadsDrainAfterRecoveryWithZeroLoss) {
 
   const SignedCapability cap =
       env.ta.issue(nursery_point_query(env.target_row()), env.rng);
-  CloudServer::SearchStats faulty_stats;
-  CloudServer::SearchStats twin_stats;
-  const auto faulty_hits = faulty.search(cap, &faulty_stats);
-  const auto twin_hits = twin.search(cap, &twin_stats);
+  ServerMetrics faulty_stats;
+  ServerMetrics twin_stats;
+  const auto faulty_hits = SearchEngine(faulty).search(cap, &faulty_stats);
+  const auto twin_hits = SearchEngine(twin).search(cap, &twin_stats);
   ASSERT_FALSE(twin_hits.empty());
   EXPECT_EQ(faulty_hits, twin_hits);
   EXPECT_EQ(faulty_stats.authorized, twin_stats.authorized);
@@ -619,27 +619,30 @@ TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {
   const SignedCapability cap =
       env.ta.issue(nursery_point_query(env.target_row()), env.rng);
 
-  // Fault-free: the deadline-aware overload with a generous budget is
-  // byte-identical to the plain path.
-  CloudServer::SearchStats plain_stats;
-  const auto plain = rig.server.search(cap, &plain_stats);
+  // One worker, one record per block: the scan stops at a known boundary.
+  const SearchEngine engine(rig.server, {.threads = 1, .block_records = 1});
+
+  // Fault-free: a search with a generous deadline is byte-identical to one
+  // with none.
+  ServerMetrics plain_stats;
+  const auto plain = engine.search(cap, &plain_stats);
   ServeControl relaxed;
   relaxed.deadline_ms = 60000;
-  CloudServer::SearchStats relaxed_stats;
-  EXPECT_EQ(rig.server.search(cap, relaxed, &relaxed_stats), plain);
+  ServerMetrics relaxed_stats;
+  EXPECT_EQ(engine.search(cap, &relaxed_stats, relaxed), plain);
   EXPECT_EQ(relaxed_stats.scanned, plain_stats.scanned);
   EXPECT_EQ(relaxed_stats.matched, plain_stats.matched);
 
   // Stall the scan; a tight deadline dies at a block boundary with the
-  // typed error and the progress-so-far in the stats.
+  // typed error and the progress-so-far in the metrics.
   FailpointPolicy slow;
   slow.action = FailAction::kDelay;
   slow.delay_ms = 50;
-  Failpoints::instance().set("server.scan_block", slow);
+  Failpoints::instance().set("engine.scan_block", slow);
   ServeControl tight;
   tight.deadline_ms = 25;
-  CloudServer::SearchStats stats;
-  EXPECT_THROW((void)rig.server.search(cap, tight, &stats), DeadlineExceeded);
+  ServerMetrics stats;
+  EXPECT_THROW((void)engine.search(cap, &stats, tight), DeadlineExceeded);
   EXPECT_TRUE(stats.authorized);
   EXPECT_TRUE(stats.deadline_exceeded);
   EXPECT_LT(stats.scanned, rig.server.record_count());
@@ -649,9 +652,9 @@ TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {
   std::atomic<bool> cancel{true};
   ServeControl cancelled;
   cancelled.cancel = &cancel;
-  CloudServer::SearchStats cancel_stats;
+  ServerMetrics cancel_stats;
   try {
-    (void)rig.server.search(cap, cancelled, &cancel_stats);
+    (void)engine.search(cap, &cancel_stats, cancelled);
     FAIL() << "cancelled search must throw";
   } catch (const ServingError& err) {
     EXPECT_EQ(err.code(), ErrorCode::kCancelled);

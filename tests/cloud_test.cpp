@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/proxy.h"
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "data/phr.h"
 
@@ -66,8 +67,8 @@ TEST_F(CloudTest, AuthorizedSearchReturnsMatchingDocs) {
   const auto cap = lta_->delegate_for_user(
       "peter", q3(QueryTerm::equals("Diabetes")), rng_);
   ASSERT_TRUE(cap.has_value());
-  CloudServer::SearchStats stats;
-  const auto docs = server_->search(*cap, &stats);
+  ServerMetrics stats;
+  const auto docs = SearchEngine(*server_).search(*cap, &stats);
   EXPECT_TRUE(stats.authorized);
   EXPECT_EQ(stats.scanned, 4u);
   // Diabetes at Hospital A: bob and carol, not dave (flu) or erin (B).
@@ -80,8 +81,8 @@ TEST_F(CloudTest, AuthorizedSearchReturnsMatchingDocs) {
 TEST_F(CloudTest, UnsignedOrForgedCapabilityRejected) {
   // Capability minted by an unregistered authority ("TA" not registered).
   const auto rogue = ta_.issue(q3(), rng_);
-  CloudServer::SearchStats stats;
-  const auto docs = server_->search(rogue, &stats);
+  ServerMetrics stats;
+  const auto docs = SearchEngine(*server_).search(rogue, &stats);
   EXPECT_FALSE(stats.authorized);
   EXPECT_TRUE(docs.empty());
   EXPECT_EQ(stats.scanned, 0u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/proxy.h"
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "core/time_attr.h"
 #include "data/phr.h"
@@ -108,8 +109,9 @@ TEST_F(SystemIntegrationTest, FullApksPlusDeployment) {
   EXPECT_EQ(cap->cap.key.level, 3u);  // TA->LTA scope, ward scope, request
 
   // --- Server verifies and scans (sequentially and in parallel). ---------
-  CloudServer::SearchStats stats;
-  const auto docs = server.search(*cap, &stats);
+  const SearchEngine engine(server, {.threads = 1});
+  ServerMetrics stats;
+  const auto docs = engine.search(*cap, &stats);
   EXPECT_TRUE(stats.authorized);
   // bob: diabetic Male at Hospital A in window -> match.
   // carol: Female (ward scope excludes) -> no.
@@ -117,7 +119,9 @@ TEST_F(SystemIntegrationTest, FullApksPlusDeployment) {
   // erin-2012: outside the authorized time window (revoked) -> no.
   ASSERT_EQ(docs.size(), 1u);
   EXPECT_EQ(docs[0], "bob");
-  EXPECT_EQ(server.search_parallel(*cap, 3), docs);
+  EXPECT_EQ(SearchEngine(server, {.threads = 3, .block_records = 1})
+                .search(*cap),
+            docs);
 
   // --- The policy refuses overly broad requests. --------------------------
   Query broad = q6();
@@ -132,7 +136,7 @@ TEST_F(SystemIntegrationTest, FullApksPlusDeployment) {
   hospital_b->register_user("nurse", nurse);
   const auto cap_b = hospital_b->delegate_for_user("nurse", q6(), rng_);
   ASSERT_TRUE(cap_b.has_value());
-  const auto docs_b = server.search(*cap_b, &stats);
+  const auto docs_b = engine.search(*cap_b, &stats);
   EXPECT_TRUE(stats.authorized);
   ASSERT_EQ(docs_b.size(), 1u);  // only dave is at Hospital B
   EXPECT_EQ(docs_b[0], "dave");

@@ -2,6 +2,7 @@
 // delegation-depth bounds) and the parallel server scan.
 #include <gtest/gtest.h>
 
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 
 namespace apks {
@@ -131,17 +132,21 @@ class ParallelScanTest : public ::testing::Test {
 
 TEST_F(ParallelScanTest, ParallelMatchesSequential) {
   const auto cap = ta_.issue(q3(QueryTerm::equals("Diabetes")), rng_);
-  CloudServer::SearchStats seq_stats, par_stats;
-  const auto seq = server_->search_unchecked(cap.cap, &seq_stats);
+  const std::span<const Capability> one(&cap.cap, 1);
+  BatchMetrics seq_stats, par_stats;
+  const auto seq = SearchEngine(*server_, {.threads = 1})
+                       .search_batch_unchecked(one, &seq_stats);
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    const auto par =
-        server_->search_parallel_unchecked(cap.cap, threads, &par_stats);
+    const auto par = SearchEngine(*server_,
+                                  {.threads = threads, .block_records = 1})
+                         .search_batch_unchecked(one, &par_stats);
     EXPECT_EQ(par, seq) << threads;  // same order, same contents
-    EXPECT_EQ(par_stats.scanned, seq_stats.scanned);
-    EXPECT_EQ(par_stats.matched, seq_stats.matched);
+    EXPECT_EQ(par_stats.per_query[0].scanned, seq_stats.per_query[0].scanned);
+    EXPECT_EQ(par_stats.per_query[0].matched, seq_stats.per_query[0].matched);
   }
   // threads == 0 resolves to hardware concurrency.
-  EXPECT_EQ(server_->search_parallel_unchecked(cap.cap, 0), seq);
+  EXPECT_EQ(SearchEngine(*server_, {.threads = 0}).search_batch_unchecked(one),
+            seq);
 }
 
 }  // namespace

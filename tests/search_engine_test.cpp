@@ -1,7 +1,7 @@
 // SearchEngine: batched multi-query serving must be observationally
-// identical to independent CloudServer::search calls, with the metrics
-// layers (authorization / preprocessing-cache / scan) each filling only
-// their own fields.
+// identical to the paper's per-record Search (Apks::search over each
+// uploaded index, in upload order), with the metrics layers (authorization
+// / preprocessing-cache / scan) each filling only their own fields.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,9 +57,24 @@ class SearchEngineTest : public ::testing::Test {
   }
 
   void store(std::vector<std::string> values, std::string ref) {
-    (void)server_->store(
-        apks_.gen_index(ta_.public_key(), PlainIndex{std::move(values)}, rng_),
-        std::move(ref));
+    EncryptedIndex index =
+        apks_.gen_index(ta_.public_key(), PlainIndex{std::move(values)}, rng_);
+    uploaded_.emplace_back(index, ref);
+    (void)server_->store(std::move(index), std::move(ref));
+  }
+
+  // The independent oracle: the signature check, then Apks::search one
+  // record at a time over the fixture's own copies of the uploads. It
+  // shares no code with the engine's block kernel, prepared cache or
+  // block scheduler.
+  [[nodiscard]] std::vector<std::string> reference(
+      const SignedCapability& cap) const {
+    std::vector<std::string> out;
+    if (!server_->verifier().verify(cap)) return out;
+    for (const auto& [index, ref] : uploaded_) {
+      if (apks_.search(cap.cap, index)) out.push_back(ref);
+    }
+    return out;
   }
 
   [[nodiscard]] SignedCapability issue(const Query& q) {
@@ -74,6 +89,7 @@ class SearchEngineTest : public ::testing::Test {
   TrustedAuthority ta_;
   std::unique_ptr<LocalAuthority> lta_;
   std::unique_ptr<CloudServer> server_;
+  std::vector<std::pair<EncryptedIndex, std::string>> uploaded_;
 };
 
 TEST_F(SearchEngineTest, BatchMatchesIndependentSearches) {
@@ -95,12 +111,13 @@ TEST_F(SearchEngineTest, BatchMatchesIndependentSearches) {
   EXPECT_EQ(metrics.records, server_->record_count());
 
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    CloudServer::SearchStats stats;
-    const auto expect = server_->search(caps[i], &stats);
+    const bool authorized = server_->verifier().verify(caps[i]);
+    const auto expect = reference(caps[i]);
     EXPECT_EQ(batch[i], expect) << "query " << i;  // same docs, same order
-    EXPECT_EQ(metrics.per_query[i].authorized, stats.authorized);
-    EXPECT_EQ(metrics.per_query[i].scanned, stats.scanned);
-    EXPECT_EQ(metrics.per_query[i].matched, stats.matched);
+    EXPECT_EQ(metrics.per_query[i].authorized, authorized);
+    EXPECT_EQ(metrics.per_query[i].scanned,
+              authorized ? server_->record_count() : 0u);
+    EXPECT_EQ(metrics.per_query[i].matched, expect.size());
   }
 }
 
@@ -144,14 +161,15 @@ TEST_F(SearchEngineTest, DeterministicAcrossThreadAndBlockCounts) {
   caps.push_back(issue(q3(QueryTerm::equals("Diabetes"))));
   caps.push_back(issue(q3(QueryTerm::equals("Flu"))));
 
-  std::vector<std::vector<std::string>> reference;
-  for (const auto& cap : caps) reference.push_back(server_->search(cap));
+  std::vector<std::vector<std::string>> expect;
+  for (const auto& cap : caps) expect.push_back(reference(cap));
+  ASSERT_NE(expect[0], expect[1]);
 
   for (const std::size_t threads : {1u, 2u, 4u, 0u}) {
     for (const std::size_t block : {1u, 3u, 16u}) {
       SearchEngine engine(*server_,
                           {.threads = threads, .block_records = block});
-      EXPECT_EQ(engine.search_batch(caps), reference)
+      EXPECT_EQ(engine.search_batch(caps), expect)
           << "threads=" << threads << " block=" << block;
     }
   }
@@ -177,34 +195,108 @@ TEST_F(SearchEngineTest, MetricsReportPairingWork) {
 TEST_F(SearchEngineTest, VerifiedParallelServerPathChecksSignature) {
   const SignedCapability good = issue(q3(QueryTerm::equals("Diabetes")));
   const SignedCapability forged = ta_.issue(q3(), rng_);
+  SearchEngine engine(*server_, {.threads = 3, .block_records = 1});
 
-  CloudServer::SearchStats stats;
-  const auto docs = server_->search_parallel(good, 3, &stats);
-  EXPECT_TRUE(stats.authorized);
-  EXPECT_EQ(stats.scanned, server_->record_count());
-  EXPECT_EQ(docs, server_->search(good));
+  ServerMetrics m;
+  const auto docs = engine.search(good, &m);
+  EXPECT_TRUE(m.authorized);
+  EXPECT_EQ(m.scanned, server_->record_count());
+  EXPECT_EQ(docs, reference(good));
 
   // Stale values in the caller's struct must not leak through either layer.
-  stats = {true, 999, 999};
-  const auto rejected = server_->search_parallel(forged, 3, &stats);
+  m.authorized = true;
+  m.scanned = 999;
+  m.matched = 999;
+  const auto rejected = engine.search(forged, &m);
   EXPECT_TRUE(rejected.empty());
-  EXPECT_FALSE(stats.authorized);
-  EXPECT_EQ(stats.scanned, 0u);
-  EXPECT_EQ(stats.matched, 0u);
+  EXPECT_FALSE(m.authorized);
+  EXPECT_EQ(m.scanned, 0u);
+  EXPECT_EQ(m.matched, 0u);
 }
 
 TEST_F(SearchEngineTest, StatsLayersFillOnlyTheirOwnFields) {
   const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
-  CloudServer::SearchStats stats{true, 999, 999};
-  (void)server_->search(cap, &stats);
-  EXPECT_TRUE(stats.authorized);
-  EXPECT_EQ(stats.scanned, server_->record_count());
+  SearchEngine engine(*server_, {.threads = 1});
+  ServerMetrics m;
+  m.authorized = true;
+  m.scanned = 999;
+  m.matched = 999;
+  (void)engine.search(cap, &m);
+  EXPECT_TRUE(m.authorized);
+  EXPECT_EQ(m.scanned, server_->record_count());
 
-  // The unchecked scan owns only scanned/matched: authorized is untouched.
-  stats = {};
-  (void)server_->search_unchecked(cap.cap, &stats);
-  EXPECT_FALSE(stats.authorized);
-  EXPECT_EQ(stats.scanned, server_->record_count());
+  // The unchecked scan never runs the authorization layer, so authorized
+  // stays false while the scan layer fills scanned.
+  BatchMetrics bm;
+  (void)engine.search_batch_unchecked({&cap.cap, 1}, &bm);
+  EXPECT_FALSE(bm.per_query[0].authorized);
+  EXPECT_EQ(bm.per_query[0].scanned, server_->record_count());
+}
+
+// A single search stopped by its deadline throws with the caller's metrics
+// already filled, exactly as a batch does: the progress so far and the
+// outcome flag.
+TEST_F(SearchEngineTest, SingleSearchFillsMetricsWhenItThrows) {
+  const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
+  SearchEngine engine(*server_, {.threads = 1, .block_records = 1});
+
+  FailpointPolicy slow;
+  slow.action = FailAction::kDelay;
+  slow.delay_ms = 50;
+  Failpoints::instance().set("engine.scan_block", slow);
+  ServeControl tight;
+  tight.deadline_ms = 25;
+  ServerMetrics m;
+  EXPECT_THROW((void)engine.search(cap, &m, tight), DeadlineExceeded);
+  Failpoints::instance().clear_all();
+  EXPECT_TRUE(m.authorized);
+  EXPECT_TRUE(m.deadline_exceeded);
+  EXPECT_FALSE(m.cancelled);
+  EXPECT_LT(m.scanned, server_->record_count());
+}
+
+// A batch stopped before a query's prepare ran still flags that query:
+// every served query of a stopped batch carries the outcome, whether the
+// batch returns partial results or throws. An unauthorized query was never
+// served and carries no flag.
+TEST_F(SearchEngineTest, StoppedBeforePrepareFlagsEveryServedQuery) {
+  std::vector<SignedCapability> caps;
+  caps.push_back(issue(q3(QueryTerm::equals("Diabetes"))));
+  caps.push_back(ta_.issue(q3(), rng_));  // "TA" is not registered
+  caps.push_back(issue(q3(QueryTerm::equals("Flu"))));
+  SearchEngine engine(*server_, {.threads = 1});
+
+  std::atomic<bool> cancel{true};
+  auto expect_flags = [&](const BatchMetrics& bm, const char* mode) {
+    EXPECT_TRUE(bm.cancelled) << mode;
+    ASSERT_EQ(bm.per_query.size(), caps.size()) << mode;
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      const ServerMetrics& m = bm.per_query[i];
+      EXPECT_EQ(m.cancelled, i != 1) << mode << " query " << i;
+      EXPECT_FALSE(m.deadline_exceeded) << mode << " query " << i;
+      EXPECT_EQ(m.scanned, 0u) << mode << " query " << i;
+      EXPECT_EQ(m.prepare_calls, 0u) << mode << " query " << i;
+    }
+  };
+
+  ServeControl partial;
+  partial.cancel = &cancel;
+  partial.partial_ok = true;
+  BatchMetrics pm;
+  const auto out = engine.search_batch(caps, &pm, partial);
+  for (const auto& docs : out) EXPECT_TRUE(docs.empty());
+  expect_flags(pm, "partial_ok");
+
+  ServeControl strict;
+  strict.cancel = &cancel;
+  BatchMetrics sm;
+  try {
+    (void)engine.search_batch(caps, &sm, strict);
+    FAIL() << "cancelled batch must throw";
+  } catch (const ServingError& err) {
+    EXPECT_EQ(err.code(), ErrorCode::kCancelled);
+  }
+  expect_flags(sm, "throwing");
 }
 
 // A disabled prepared-query cache (capacity 0) must stay out of the way —
@@ -439,22 +531,24 @@ TEST_F(SearchEngineTest, CountersSnapshotAddsUpUnderConcurrency) {
 }
 
 TEST_F(SearchEngineTest, ConcurrentStoreAndSearchAreSerialized) {
-  // Writer uploads while readers scan: the shared_mutex must keep every
-  // scan on a consistent snapshot (this is the TSan target of tools/ci.sh).
+  // Writer uploads while a two-worker scan runs: the shared_mutex must keep
+  // every scan on a consistent snapshot (this is the TSan target of
+  // tools/ci.sh).
   const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
   auto extra = apks_.gen_index(ta_.public_key(),
                                PlainIndex{{"Diabetes", "Male", "Hospital A"}},
                                rng_);
   const std::size_t before = server_->record_count();
+  SearchEngine engine(*server_, {.threads = 2, .block_records = 1});
 
   std::thread writer([&] {
     (void)server_->store(std::move(extra), "doc-late");
   });
   for (int i = 0; i < 3; ++i) {
-    CloudServer::SearchStats stats;
-    (void)server_->search_parallel(cap, 2, &stats);
-    EXPECT_TRUE(stats.authorized);
-    EXPECT_TRUE(stats.scanned == before || stats.scanned == before + 1);
+    ServerMetrics m;
+    (void)engine.search(cap, &m);
+    EXPECT_TRUE(m.authorized);
+    EXPECT_TRUE(m.scanned == before || m.scanned == before + 1);
   }
   writer.join();
   EXPECT_EQ(server_->record_count(), before + 1);

@@ -2,8 +2,8 @@
 // store stage): a writer killed mid-append leaves a torn tail that reopen
 // must truncate, recovering every fully-committed record — and a
 // CloudServer restarted from the recovered store must return byte-identical
-// search results (same doc_refs, same order, same SearchStats) to the
-// in-memory server that never crashed.
+// search results (same doc_refs, same order, same scanned/matched counts)
+// to the in-memory server that never crashed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -89,9 +89,10 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   caps.push_back(ta.issue(nursery_point_query(*stored[17]), rng));
   caps.push_back(ta.issue(nursery_worst_case_query(1, rng), rng));
   std::vector<std::vector<std::string>> pre_results;
-  std::vector<CloudServer::SearchStats> pre_stats(caps.size());
+  std::vector<ServerMetrics> pre_stats(caps.size());
+  const SearchEngine pre_engine(pre_crash);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    pre_results.push_back(pre_crash.search(caps[i], &pre_stats[i]));
+    pre_results.push_back(pre_engine.search(caps[i], &pre_stats[i]));
   }
   ASSERT_FALSE(pre_results[0].empty());  // point query hits its row
 
@@ -118,9 +119,10 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   // A restarted server over the recovered store is byte-identical.
   CloudServer restarted(scheme, make_verifier());
   EXPECT_EQ(restarted.load_from(recovered), kRecords);
+  const SearchEngine restarted_engine(restarted);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    CloudServer::SearchStats stats;
-    EXPECT_EQ(restarted.search(caps[i], &stats), pre_results[i]) << i;
+    ServerMetrics stats;
+    EXPECT_EQ(restarted_engine.search(caps[i], &stats), pre_results[i]) << i;
     EXPECT_EQ(stats.authorized, pre_stats[i].authorized);
     EXPECT_EQ(stats.scanned, pre_stats[i].scanned);
     EXPECT_EQ(stats.matched, pre_stats[i].matched);
@@ -143,7 +145,7 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
 // *transformed* ciphertexts are persisted (the proxy transformation is
 // randomized, so byte-identical restart results prove the store holds the
 // transformed bytes, not re-derived ones), a crash leaves torn tails, and
-// the recovered store serves byte-identical results and SearchStats.
+// the recovered store serves byte-identical results and metrics.
 TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
   const Pairing e(default_type_a_params());
   const ApksPlus plus(e, nursery_schema(1));
@@ -185,9 +187,10 @@ TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
       ta.issue(nursery_point_query(rows[(7 * 433) % rows.size()]), rng));
   caps.push_back(ta.issue(nursery_worst_case_query(1, rng), rng));
   std::vector<std::vector<std::string>> pre_results;
-  std::vector<CloudServer::SearchStats> pre_stats(caps.size());
+  std::vector<ServerMetrics> pre_stats(caps.size());
+  const SearchEngine pre_engine(pre_crash);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    pre_results.push_back(pre_crash.search(caps[i], &pre_stats[i]));
+    pre_results.push_back(pre_engine.search(caps[i], &pre_stats[i]));
   }
   ASSERT_FALSE(pre_results[0].empty());  // the transformed index matches
 
@@ -208,9 +211,10 @@ TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
 
   CloudServer restarted(backend, make_verifier());
   EXPECT_EQ(restarted.load_from(recovered), kRecords);
+  const SearchEngine restarted_engine(restarted);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    CloudServer::SearchStats stats;
-    EXPECT_EQ(restarted.search(caps[i], &stats), pre_results[i]) << i;
+    ServerMetrics stats;
+    EXPECT_EQ(restarted_engine.search(caps[i], &stats), pre_results[i]) << i;
     EXPECT_EQ(stats.authorized, pre_stats[i].authorized);
     EXPECT_EQ(stats.scanned, pre_stats[i].scanned);
     EXPECT_EQ(stats.matched, pre_stats[i].matched);

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "cloud/docstore.h"
+#include "cloud/search_engine.h"
 #include "cloud/server.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -340,8 +341,10 @@ TEST_F(ShardedStoreTest, DiskSearchMatchesInMemoryServer) {
   const Capability cap = scheme_.gen_cap(
       msk_, Query{{QueryTerm::equals("x"), QueryTerm::any()}}, rng_);
 
-  CloudServer::SearchStats mem_stats;
-  const auto mem = server.search_unchecked(cap, &mem_stats);
+  BatchMetrics mem_metrics;
+  const auto mem = SearchEngine(server, {.threads = 1})
+                       .search_batch_unchecked({&cap, 1}, &mem_metrics)[0];
+  const ServerMetrics& mem_stats = mem_metrics.per_query[0];
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     StoreScanStats disk_stats;
     const auto disk = store.search_any(AnyQuery::ref(SchemeKind::kApks, &cap),
@@ -378,12 +381,14 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
 
   const Capability cap = scheme_.gen_cap(
       msk_, Query{{QueryTerm::equals("x"), QueryTerm::any()}}, rng_);
-  CloudServer::SearchStats stats_a;
-  CloudServer::SearchStats stats_b;
-  EXPECT_EQ(original.search_unchecked(cap, &stats_a),
-            restarted.search_unchecked(cap, &stats_b));
-  EXPECT_EQ(stats_a.scanned, stats_b.scanned);
-  EXPECT_EQ(stats_a.matched, stats_b.matched);
+  BatchMetrics stats_a;
+  BatchMetrics stats_b;
+  const SearchEngine engine_a(original);
+  const SearchEngine engine_b(restarted);
+  EXPECT_EQ(engine_a.search_batch_unchecked({&cap, 1}, &stats_a),
+            engine_b.search_batch_unchecked({&cap, 1}, &stats_b));
+  EXPECT_EQ(stats_a.per_query[0].scanned, stats_b.per_query[0].scanned);
+  EXPECT_EQ(stats_a.per_query[0].matched, stats_b.per_query[0].matched);
 
   // New uploads on the restarted server continue the id sequence.
   ShardedStore store2(backend_, dir_.path(), small_segments());

@@ -76,6 +76,23 @@ if [[ $STAGE == all ]]; then
     exit 1
   fi
 
+  echo "=== tier-1: one server scan ==="
+  # Search lives only in SearchEngine: one scan_block failpoint site in
+  # src/, and CloudServer (the record set) neither spawns threads nor
+  # matches records itself.
+  scan_sites=$(grep -rn 'failpoint("[A-Za-z_.]*scan_block")' src | wc -l)
+  if (( scan_sites > 1 )); then
+    echo "src/ has $scan_sites scan_block failpoint sites (want one):"
+    grep -rn 'failpoint("[A-Za-z_.]*scan_block")' src
+    exit 1
+  fi
+  if grep -nE '#include <thread>|\bmatch(_block)?\(' \
+       src/cloud/server.h src/cloud/server.cpp; then
+    echo "src/cloud/server.{h,cpp} scans records; searching belongs to" \
+         "SearchEngine"
+    exit 1
+  fi
+
   echo "=== tier-1: full build + ctest ==="
   configure build
   cmake --build build -j "$JOBS"
@@ -83,6 +100,13 @@ if [[ $STAGE == all ]]; then
   # with another process fails here instead of on scheduling luck.
   (cd build && ctest --output-on-failure -j "$JOBS" --schedule-random \
     --repeat until-fail:2)
+
+  echo "=== tier-1: examples ==="
+  for ex in phr_search patient_matching sealed_documents; do
+    echo "--- $ex ---"
+    ./build/examples/"$ex" ||
+      { echo "example $ex exited with status $?"; exit 1; }
+  done
 
   echo "=== bench smoke: MSM engine comparison + JSON artifact ==="
   ./build/bench/bench_msm --smoke --json=build/BENCH_msm.json
