@@ -74,14 +74,13 @@ std::vector<NodeHealth> Coordinator::health() const {
   return out;
 }
 
-bool Coordinator::auth_cache_check(const SignedQuery& query) {
+bool Coordinator::auth_cache_check(
+    const SignedQuery& query, std::span<const std::uint8_t> query_bytes) {
   if (options_.auth_cache_capacity == 0) {
     return verifier_.verify(*backend_, query);
   }
   // Key = H(len(query) || query || len(issuer) || issuer || len(sig) ||
   // sig): any change to what the verifier would see changes the key.
-  const std::vector<std::uint8_t> query_bytes =
-      backend_->encode_query(query.query);
   const std::vector<std::uint8_t> sig_bytes =
       net::encode_signature(backend_->pairing().curve(), query.sig);
   Sha256 h;
@@ -126,11 +125,14 @@ std::vector<std::string> Coordinator::search_signed(
     const ServeControl& control) {
   ClusterSearchStats local;
   ClusterSearchStats& s = stats != nullptr ? *stats : local;
-  if (!auth_cache_check(query)) {
+  // Encoded once: the auth cache key and every node RPC carry these bytes.
+  const std::vector<std::uint8_t> query_bytes =
+      backend_->encode_query(query.query);
+  if (!auth_cache_check(query, query_bytes)) {
     s = ClusterSearchStats{};  // authorized stays false; nothing scanned
     return {};
   }
-  std::vector<std::string> refs = search_any(query.query, &s, control);
+  std::vector<std::string> refs = scatter(query_bytes, &s, control);
   s.authorized = true;
   return refs;
 }
@@ -231,13 +233,18 @@ void Coordinator::note_latency(NodeState& node, std::uint64_t ms) {
 std::vector<std::string> Coordinator::search_any(const AnyQuery& query,
                                                  ClusterSearchStats* stats,
                                                  const ServeControl& control) {
+  return scatter(backend_->encode_query(query), stats, control);
+}
+
+std::vector<std::string> Coordinator::scatter(
+    const std::vector<std::uint8_t>& query_bytes, ClusterSearchStats* stats,
+    const ServeControl& control) {
   ClusterSearchStats local;
   ClusterSearchStats& s = stats != nullptr ? *stats : local;
   s = ClusterSearchStats{};
   const std::uint64_t now_op =
       op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   const Clock::time_point t0 = Clock::now();
-  const std::vector<std::uint8_t> query_bytes = backend_->encode_query(query);
   for (NodeState& node : nodes_) node.map_pushed_this_search = false;
 
   // Proactive health: a node the heartbeats declared dead gets its breaker

@@ -264,7 +264,13 @@ class Coordinator {
   bool push_map_to(std::uint32_t node, std::string* error);
   [[nodiscard]] std::uint64_t hedge_delay_ms(const NodeState& node) const;
   void note_latency(NodeState& node, std::uint64_t ms);
-  [[nodiscard]] bool auth_cache_check(const SignedQuery& query);
+  // `query_bytes` is backend_->encode_query(query.query).
+  [[nodiscard]] bool auth_cache_check(
+      const SignedQuery& query, std::span<const std::uint8_t> query_bytes);
+  // search_any over an encoded query.
+  [[nodiscard]] std::vector<std::string> scatter(
+      const std::vector<std::uint8_t>& query_bytes, ClusterSearchStats* stats,
+      const ServeControl& control);
 
   const SearchBackend* backend_;
   CapabilityVerifier verifier_;

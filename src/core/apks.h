@@ -31,7 +31,7 @@ struct Capability {
   // The conjunction of queries this capability answers (level i entry is
   // the i-th delegated restriction). Kept by the issuing authority and the
   // holder for bookkeeping/eligibility checks; the cloud server only needs
-  // `key`.
+  // `key.dec`.
   std::vector<Query> history;
 };
 

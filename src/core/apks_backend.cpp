@@ -21,15 +21,27 @@ AnyIndex ApksBackend::decode_index(std::span<const std::uint8_t> data) const {
 std::vector<std::uint8_t> ApksBackend::encode_query(
     const AnyQuery& query) const {
   require_query(query);
+  if (const std::vector<std::uint8_t>* wire = query.wire()) return *wire;
   return serialize_capability(pairing(), query.as<Capability>());
 }
 
 AnyQuery ApksBackend::decode_query(std::span<const std::uint8_t> data) const {
-  return AnyQuery::own(kind(), deserialize_capability(pairing(), data));
+  // Search pairs only k*_dec: ran and del are checked for layout, kept as
+  // bytes (the signature covers them verbatim) and never decoded.
+  Capability cap =
+      deserialize_capability(pairing(), data, KeyParts::kDecOnly);
+  return AnyQuery::decoded(
+      kind(), std::move(cap),
+      std::make_shared<const std::vector<std::uint8_t>>(data.begin(),
+                                                        data.end()));
 }
 
 QueryDigest ApksBackend::digest(const AnyQuery& query) const {
   require_query(query);
+  // capability_digest hashes these very bytes; a decoded handle has them.
+  if (const std::vector<std::uint8_t>* wire = query.wire()) {
+    return Sha256::hash(capability_key_bytes(*wire));
+  }
   return capability_digest(pairing(), query.as<Capability>());
 }
 
@@ -65,7 +77,11 @@ std::vector<std::uint8_t> ApksBackend::query_message(
   // Byte-identical to capability_message (auth/authority.h) so signatures
   // issued through the typed authority API verify through this path too.
   ByteWriter w;
-  w.bytes(serialize_key(pairing(), query.as<Capability>().key));
+  if (const std::vector<std::uint8_t>* wire = query.wire()) {
+    w.bytes(capability_key_bytes(*wire));
+  } else {
+    w.bytes(serialize_key(pairing(), query.as<Capability>().key));
+  }
   w.str(issuer);
   return w.take();
 }

@@ -143,6 +143,8 @@ namespace detail {
 template <typename Tag>
 class Erased {
  public:
+  using Wire = std::shared_ptr<const std::vector<std::uint8_t>>;
+
   Erased() = default;
 
   [[nodiscard]] SchemeKind kind() const noexcept { return kind_; }
@@ -154,6 +156,21 @@ class Erased {
     return Erased(kind,
                   std::static_pointer_cast<const void>(
                       std::make_shared<const T>(std::move(value))));
+  }
+
+  // Takes ownership of `value`, decoded from `wire`, and keeps those bytes:
+  // a backend's decode_query builds these, so the payload and the bytes it
+  // came from never drift apart.
+  template <typename T>
+  [[nodiscard]] static Erased decoded(SchemeKind kind, T value, Wire wire) {
+    Erased out = own(kind, std::move(value));
+    out.wire_ = std::move(wire);
+    return out;
+  }
+
+  // The bytes a decoded handle came from; null for a typed value.
+  [[nodiscard]] const std::vector<std::uint8_t>* wire() const noexcept {
+    return wire_.get();
   }
 
   // Non-owning view: the caller guarantees *value outlives every use
@@ -176,6 +193,7 @@ class Erased {
 
   SchemeKind kind_{};
   std::shared_ptr<const void> ptr_;
+  Wire wire_;
 };
 
 struct IndexTag;
@@ -229,7 +247,14 @@ class SearchBackend {
   [[nodiscard]] virtual AnyIndex decode_index(
       std::span<const std::uint8_t> data) const = 0;
 
-  // --- query codec (CLI files, authority archives) ----------------------
+  // --- query codec -----------------------------------------------------
+  // decode_query is the serving decoder (NetServer decodes every kAuth
+  // with it). It runs every structural check of the scheme's full decoder
+  // but may decode only what prepare reads: the APKS family decodes k*_dec
+  // alone and keeps the received bytes in the handle (AnyQuery::wire), so
+  // digest, query_message and encode_query on it read those bytes and
+  // equal the typed query's. Code that needs the whole APKS key (the CLI,
+  // authority archives) calls deserialize_capability.
   [[nodiscard]] virtual std::vector<std::uint8_t> encode_query(
       const AnyQuery& query) const = 0;
   [[nodiscard]] virtual AnyQuery decode_query(

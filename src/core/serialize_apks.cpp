@@ -83,13 +83,14 @@ std::vector<std::uint8_t> serialize_capability(const Pairing& e,
 }
 
 Capability deserialize_capability(const Pairing& e,
-                                  std::span<const std::uint8_t> data) {
+                                  std::span<const std::uint8_t> data,
+                                  KeyParts parts) {
   ByteReader r(data);
   if (r.u8() != kCapabilityCodecVersion) {
     throw std::invalid_argument("capability: unsupported codec version");
   }
   Capability cap;
-  cap.key = deserialize_key(e, r.bytes());
+  cap.key = deserialize_key(e, r.bytes(), parts);
   const std::uint32_t nqueries = r.u32();
   if (nqueries > r.remaining() / kMinQueryBytes) {
     throw std::invalid_argument("capability: history count exceeds payload");
@@ -102,6 +103,13 @@ Capability deserialize_capability(const Pairing& e,
     throw std::invalid_argument("capability: trailing bytes");
   }
   return cap;
+}
+
+std::span<const std::uint8_t> capability_key_bytes(
+    std::span<const std::uint8_t> data) {
+  ByteReader r(data);
+  (void)r.u8();  // codec version
+  return r.bytes();
 }
 
 }  // namespace apks

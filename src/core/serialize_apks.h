@@ -29,10 +29,20 @@ inline constexpr std::uint8_t kCapabilityCodecVersion = 1;
     const Pairing& e, std::span<const std::uint8_t> data);
 
 // Capability with its full delegation history (one Query per level).
+// `parts` is passed to deserialize_key: KeyParts::kDecOnly is the serving
+// decoder (ApksBackend::decode_query), with every layout check of the full
+// decode, the history included, but key.ran and key.del left empty.
 [[nodiscard]] std::vector<std::uint8_t> serialize_capability(
     const Pairing& e, const Capability& cap);
 [[nodiscard]] Capability deserialize_capability(
-    const Pairing& e, std::span<const std::uint8_t> data);
+    const Pairing& e, std::span<const std::uint8_t> data,
+    KeyParts parts = KeyParts::kAll);
+
+// The serialize_key bytes inside a capability encoding: what
+// capability_digest hashes and capability_message signs. `data` must be
+// an encoding deserialize_capability accepted.
+[[nodiscard]] std::span<const std::uint8_t> capability_key_bytes(
+    std::span<const std::uint8_t> data);
 
 // Query/term codecs (shared by serialize_capability; exposed for tests and
 // for authorities that archive query audit logs).

@@ -39,12 +39,6 @@ void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w) {
   w.raw(buf);
 }
 
-GtEl read_gt(const Pairing& e, ByteReader& r) {
-  GtEl v;
-  read_elements(e.curve(), [&](ElementReader& in) { in.gt(r, v); });
-  return v;
-}
-
 void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (const auto& pt : v) write_point(curve, pt, w);
@@ -63,15 +57,23 @@ void ElementReader::queue(const CompressedElement& el) {
   queued_[n_++] = el;
 }
 
-void ElementReader::gvec(ByteReader& r, GVec& out) {
+std::uint32_t ElementReader::gvec_count(ByteReader& r) {
   const std::uint32_t n = r.u32();
   // Validate the claimed count against the bytes actually present before
   // reserving (hostile length prefixes must not drive allocations).
   if (n > r.remaining() / Curve::kCompressedSize) {
     throw std::invalid_argument("read_gvec: length field exceeds payload");
   }
-  out.resize(n);
+  return n;
+}
+
+void ElementReader::gvec(ByteReader& r, GVec& out) {
+  out.resize(gvec_count(r));
   for (AffinePoint& pt : out) point(r, pt);
+}
+
+void ElementReader::skip_gvec(ByteReader& r) {
+  (void)r.raw(gvec_count(r) * Curve::kCompressedSize);
 }
 
 void ElementReader::finish() {
@@ -111,10 +113,21 @@ std::vector<std::uint8_t> serialize_key(const Pairing& e, const HpeKey& key) {
   return w.take();
 }
 
-HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
+HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data,
+                       KeyParts parts) {
   ByteReader r(data);
   HpeKey key;
   read_elements(e.curve(), [&](ElementReader& in) {
+    // The vectors only DelegateCap uses: decoded into `out`, or, for
+    // kDecOnly, stepped over after the same checks.
+    const auto tail = [&](std::vector<GVec>& out, std::uint32_t count) {
+      if (parts == KeyParts::kDecOnly) {
+        for (std::uint32_t i = 0; i < count; ++i) in.skip_gvec(r);
+        return;
+      }
+      out.resize(count);
+      for (GVec& v : out) in.gvec(r, v);
+    };
     key.level = r.u32();
     // Every honest key carries level+1 randomizer vectors, each at least
     // one point: a level field the payload cannot possibly back is corrupt
@@ -128,9 +141,8 @@ HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
     if (nran > r.remaining() / Curve::kCompressedSize) {
       throw std::invalid_argument("key: randomizer count exceeds payload");
     }
-    key.ran.resize(nran);
-    for (GVec& v : key.ran) in.gvec(r, v);
-    if (key.ran.size() != key.level + 1) {
+    tail(key.ran, nran);
+    if (nran != key.level + 1) {
       // Invariant of every issued key (gen_key and delegate both maintain
       // it); enforcing it here turns a delayed delegation failure into a
       // clean parse error.
@@ -140,8 +152,7 @@ HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
     if (ndel > r.remaining() / Curve::kCompressedSize) {
       throw std::invalid_argument("key: delegation count exceeds payload");
     }
-    key.del.resize(ndel);
-    for (GVec& v : key.del) in.gvec(r, v);
+    tail(key.del, ndel);
     if (!r.done()) throw std::invalid_argument("key: trailing bytes");
   });
   return key;

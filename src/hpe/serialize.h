@@ -21,7 +21,6 @@ void write_point(const Curve& curve, const AffinePoint& pt, ByteWriter& w);
 [[nodiscard]] AffinePoint read_point(const Curve& curve, ByteReader& r);
 
 void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w);
-[[nodiscard]] GtEl read_gt(const Pairing& e, ByteReader& r);
 
 void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w);
 
@@ -38,12 +37,17 @@ class ElementReader {
   void gt(ByteReader& r, GtEl& out);
   // u32 count, then that many points; resizes `out`.
   void gvec(ByteReader& r, GVec& out);
+  // The same layout as gvec, checked the same way, but the points are
+  // only stepped over: nothing is queued or decoded.
+  void skip_gvec(ByteReader& r);
 
   // Decodes what is still queued.
   void finish();
 
  private:
   void queue(const CompressedElement& el);
+  // Reads a gvec's u32 point count and checks it against the bytes left.
+  static std::uint32_t gvec_count(ByteReader& r);
 
   const Curve* curve_;
   std::array<CompressedElement, kMaxLaneWidth> queued_{};
@@ -71,10 +75,18 @@ void read_elements(const Curve& curve, Walk&& walk) {
 [[nodiscard]] HpeCiphertext deserialize_ciphertext(
     const Pairing& e, std::span<const std::uint8_t> data);
 
+// What deserialize_key decodes. Both parse and check the whole key layout
+// (level, every vector count and length, trailing bytes); kDecOnly then
+// decodes k*_dec alone and leaves ran and del empty. Search pairs only
+// k*_dec, so a server skips the square roots of the n+level+1 vectors
+// that exist for DelegateCap.
+enum class KeyParts : std::uint8_t { kAll, kDecOnly };
+
 [[nodiscard]] std::vector<std::uint8_t> serialize_key(const Pairing& e,
                                                       const HpeKey& key);
 [[nodiscard]] HpeKey deserialize_key(const Pairing& e,
-                                     std::span<const std::uint8_t> data);
+                                     std::span<const std::uint8_t> data,
+                                     KeyParts parts = KeyParts::kAll);
 
 [[nodiscard]] std::vector<std::uint8_t> serialize_public_key(
     const Pairing& e, const HpePublicKey& pk);

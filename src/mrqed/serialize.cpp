@@ -16,13 +16,11 @@ void write_aibe_ct(const Pairing& e, const AibeCiphertext& ct,
   }
 }
 
-AibeCiphertext read_aibe_ct(const Pairing& e, ByteReader& r) {
-  AibeCiphertext ct;
-  ct.cprime = read_gt(e, r);
-  for (auto* pt : {&ct.c0, &ct.c1, &ct.c2, &ct.c3, &ct.c4}) {
-    *pt = read_point(e.curve(), r);
-  }
-  return ct;
+// The readers below queue their elements on an ElementReader, so `ct` /
+// `key` must stay put until the enclosing read_elements finishes.
+void read_aibe_ct(ElementReader& in, ByteReader& r, AibeCiphertext& ct) {
+  in.gt(r, ct.cprime);
+  for (auto* pt : {&ct.c0, &ct.c1, &ct.c2, &ct.c3, &ct.c4}) in.point(r, *pt);
 }
 
 void write_aibe_key(const Pairing& e, const AibeKey& key, ByteWriter& w) {
@@ -31,12 +29,10 @@ void write_aibe_key(const Pairing& e, const AibeKey& key, ByteWriter& w) {
   }
 }
 
-AibeKey read_aibe_key(const Pairing& e, ByteReader& r) {
-  AibeKey key;
+void read_aibe_key(ElementReader& in, ByteReader& r, AibeKey& key) {
   for (auto* pt : {&key.d0, &key.d1, &key.d2, &key.d3, &key.d4}) {
-    *pt = read_point(e.curve(), r);
+    in.point(r, *pt);
   }
-  return key;
 }
 
 }  // namespace
@@ -59,27 +55,28 @@ MrqedCiphertext deserialize_mrqed_ciphertext(
     const Pairing& e, std::span<const std::uint8_t> data) {
   ByteReader r(data);
   MrqedCiphertext ct;
-  const std::uint32_t dims = r.u32();
-  if (dims > r.remaining()) {
-    throw std::invalid_argument("mrqed ciphertext: dim count exceeds payload");
-  }
-  ct.dims.resize(dims);
-  for (auto& dim : ct.dims) {
-    const std::uint32_t nodes = r.u32();
-    if (nodes > r.remaining() / (2 * 6 * 65)) {
-      throw std::invalid_argument("mrqed ciphertext: node count bomb");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    const std::uint32_t dims = r.u32();
+    if (dims > r.remaining()) {
+      throw std::invalid_argument(
+          "mrqed ciphertext: dim count exceeds payload");
     }
-    dim.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i) {
-      MrqedCiphertext::NodeCt node;
-      node.check = read_aibe_ct(e, r);
-      node.share = read_aibe_ct(e, r);
-      dim.push_back(std::move(node));
+    ct.dims.resize(dims);
+    for (auto& dim : ct.dims) {
+      const std::uint32_t nodes = r.u32();
+      if (nodes > r.remaining() / (2 * 6 * 65)) {
+        throw std::invalid_argument("mrqed ciphertext: node count bomb");
+      }
+      dim.resize(nodes);
+      for (MrqedCiphertext::NodeCt& node : dim) {
+        read_aibe_ct(in, r, node.check);
+        read_aibe_ct(in, r, node.share);
+      }
     }
-  }
-  if (!r.done()) {
-    throw std::invalid_argument("mrqed ciphertext: trailing bytes");
-  }
+    if (!r.done()) {
+      throw std::invalid_argument("mrqed ciphertext: trailing bytes");
+    }
+  });
   return ct;
 }
 
@@ -103,27 +100,27 @@ MrqedKey deserialize_mrqed_key(const Pairing& e,
                                std::span<const std::uint8_t> data) {
   ByteReader r(data);
   MrqedKey key;
-  const std::uint32_t dims = r.u32();
-  if (dims > r.remaining()) {
-    throw std::invalid_argument("mrqed key: dim count exceeds payload");
-  }
-  key.dims.resize(dims);
-  for (auto& dim : key.dims) {
-    const std::uint32_t nodes = r.u32();
-    if (nodes > r.remaining() / (2 * 5 * 65)) {
-      throw std::invalid_argument("mrqed key: node count bomb");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    const std::uint32_t dims = r.u32();
+    if (dims > r.remaining()) {
+      throw std::invalid_argument("mrqed key: dim count exceeds payload");
     }
-    dim.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i) {
-      MrqedKey::NodeKey node;
-      node.node.level = r.u32();
-      node.node.index = r.u64();
-      node.check = read_aibe_key(e, r);
-      node.share = read_aibe_key(e, r);
-      dim.push_back(std::move(node));
+    key.dims.resize(dims);
+    for (auto& dim : key.dims) {
+      const std::uint32_t nodes = r.u32();
+      if (nodes > r.remaining() / (2 * 5 * 65)) {
+        throw std::invalid_argument("mrqed key: node count bomb");
+      }
+      dim.resize(nodes);
+      for (MrqedKey::NodeKey& node : dim) {
+        node.node.level = r.u32();
+        node.node.index = r.u64();
+        read_aibe_key(in, r, node.check);
+        read_aibe_key(in, r, node.share);
+      }
     }
-  }
-  if (!r.done()) throw std::invalid_argument("mrqed key: trailing bytes");
+    if (!r.done()) throw std::invalid_argument("mrqed key: trailing bytes");
+  });
   return key;
 }
 
@@ -150,31 +147,32 @@ MrqedPublicKey deserialize_mrqed_public_key(
     const Pairing& e, std::span<const std::uint8_t> data) {
   ByteReader r(data);
   MrqedPublicKey pk;
-  pk.aibe.omega = read_gt(e, r);
-  for (auto* pt : {&pk.aibe.v1, &pk.aibe.v2, &pk.aibe.v3, &pk.aibe.v4}) {
-    *pt = read_point(e.curve(), r);
-  }
-  const std::uint32_t dims = r.u32();
-  if (dims > r.remaining()) {
-    throw std::invalid_argument("mrqed public key: dim count exceeds payload");
-  }
-  pk.bases.resize(dims);
-  for (auto& dim : pk.bases) {
-    const std::uint32_t levels = r.u32();
-    if (levels > r.remaining() / (2 * 65)) {
-      throw std::invalid_argument("mrqed public key: level count bomb");
+  read_elements(e.curve(), [&](ElementReader& in) {
+    in.gt(r, pk.aibe.omega);
+    for (auto* pt : {&pk.aibe.v1, &pk.aibe.v2, &pk.aibe.v3, &pk.aibe.v4}) {
+      in.point(r, *pt);
     }
-    dim.reserve(levels);
-    for (std::uint32_t i = 0; i < levels; ++i) {
-      AibeIdBase base;
-      base.g0 = read_point(e.curve(), r);
-      base.g1 = read_point(e.curve(), r);
-      dim.push_back(base);
+    const std::uint32_t dims = r.u32();
+    if (dims > r.remaining()) {
+      throw std::invalid_argument(
+          "mrqed public key: dim count exceeds payload");
     }
-  }
-  if (!r.done()) {
-    throw std::invalid_argument("mrqed public key: trailing bytes");
-  }
+    pk.bases.resize(dims);
+    for (auto& dim : pk.bases) {
+      const std::uint32_t levels = r.u32();
+      if (levels > r.remaining() / (2 * 65)) {
+        throw std::invalid_argument("mrqed public key: level count bomb");
+      }
+      dim.resize(levels);
+      for (AibeIdBase& base : dim) {
+        in.point(r, base.g0);
+        in.point(r, base.g1);
+      }
+    }
+    if (!r.done()) {
+      throw std::invalid_argument("mrqed public key: trailing bytes");
+    }
+  });
   return pk;
 }
 

@@ -5,6 +5,7 @@
 // stores, and the refusal of every other on-disk STORE/MANIFEST version.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "common/failpoint.h"
 #include "core/apks_backend.h"
 #include "core/apks_plus.h"
+#include "core/capability_digest.h"
 #include "core/serialize_apks.h"
 #include "data/nursery.h"
 #include "data/workload.h"
@@ -68,6 +70,74 @@ TEST_F(BackendTest, SignedCapabilityVerifiesAsSignedQuery) {
   // ...and an unregistered issuer is still refused.
   sq.issuer = "rogue";
   EXPECT_FALSE(verifier.verify(backend, sq));
+}
+
+// decode_query is the serving decoder: it decodes only k*_dec and keeps the
+// bytes it received. A served handle must digest, sign-check and re-encode
+// byte-identically to the typed capability it was encoded from, and
+// prepare to the same verdicts, at the TA's level 1 and after delegation.
+TEST_F(BackendTest, ServedQueryDecodeMatchesTypedCapability) {
+  const Pairing e(default_type_a_params());
+  const Apks scheme(e, nursery_schema(1));
+  ChaChaRng rng("backend-served");
+  TrustedAuthority ta(scheme, rng);
+  CapabilityVerifier verifier(e, ta.ibs_params());
+  verifier.register_authority("TA");
+  const ApksBackend backend(scheme);
+
+  const std::vector<PlainIndex> rows = nursery_rows();
+  std::vector<AnyIndex> records;
+  for (std::size_t i = 0; i < 8; ++i) {
+    records.push_back(AnyIndex::own(
+        SchemeKind::kApks,
+        scheme.gen_index(ta.public_key(), rows[(i * 769) % rows.size()],
+                         rng)));
+  }
+  std::vector<const AnyIndex*> block;
+  for (const AnyIndex& r : records) block.push_back(&r);
+
+  const Query point = nursery_point_query(rows[769 % rows.size()]);
+  const Capability level1 = ta.issue(point, rng).cap;
+  const Capability level2 = scheme.delegate_cap(level1, point, rng);
+  ASSERT_EQ(level1.key.level, 1u);
+  ASSERT_EQ(level2.key.level, 2u);
+
+  for (const Capability* cap : {&level1, &level2}) {
+    SCOPED_TRACE("level " + std::to_string(cap->key.level));
+    const AnyQuery typed = AnyQuery::ref(SchemeKind::kApks, cap);
+    const std::vector<std::uint8_t> wire = backend.encode_query(typed);
+    const AnyQuery served = backend.decode_query(wire);
+    ASSERT_NE(served.wire(), nullptr);
+    EXPECT_EQ(typed.wire(), nullptr);
+
+    const Capability& got = served.as<Capability>();
+    EXPECT_EQ(got.key.level, cap->key.level);
+    EXPECT_EQ(got.key.dec, cap->key.dec);
+    EXPECT_TRUE(got.key.ran.empty());
+    EXPECT_TRUE(got.key.del.empty());
+
+    EXPECT_EQ(backend.digest(served), backend.digest(typed));
+    EXPECT_EQ(backend.digest(served), capability_digest(e, *cap));
+    EXPECT_EQ(backend.query_message(served, "TA"),
+              backend.query_message(typed, "TA"));
+    EXPECT_EQ(backend.query_message(served, "TA"),
+              capability_message(e, *cap, "TA"));
+    EXPECT_EQ(backend.encode_query(served), wire);
+
+    // A signature issued over the typed query admits the served one.
+    const SignedQuery sq = ta.issue_query(backend, typed, rng);
+    EXPECT_TRUE(verifier.verify(backend, SignedQuery{served, sq.issuer,
+                                                     sq.sig}));
+
+    bool want[8] = {};
+    bool have[8] = {};
+    backend.match_block(backend.prepare(typed), block.data(), block.size(),
+                        want);
+    backend.match_block(backend.prepare(served), block.data(), block.size(),
+                        have);
+    EXPECT_TRUE(std::equal(want, want + 8, have));
+    EXPECT_TRUE(want[1]);  // rows[769] is record 1
+  }
 }
 
 // The typed (SignedCapability) and scheme-agnostic (SignedQuery) serving

@@ -252,6 +252,65 @@ TEST_F(MrqedTest, SerializationRoundTrip) {
   EXPECT_THROW((void)deserialize_mrqed_key(e_, bytes), std::out_of_range);
 }
 
+// The codecs decode their elements in lane batches (ElementReader):
+// re-encoding a decoded object gives the same bytes, and a malformed
+// element still decides the error ahead of a later structural fault, as a
+// one-at-a-time read would.
+TEST_F(MrqedTest, SerializationIsByteIdenticalAndFirstFaultDecides) {
+  const auto ct = scheme_.encrypt(pk_, {3, 9, 14}, rng_);
+  const auto key =
+      scheme_.gen_key(pk_, msk_, {{2, 5}, {8, 15}, {14, 14}}, rng_);
+  const auto ct_bytes = serialize_mrqed_ciphertext(e_, ct);
+  const auto key_bytes = serialize_mrqed_key(e_, key);
+  const auto pk_bytes = serialize_mrqed_public_key(e_, pk_);
+  EXPECT_EQ(serialize_mrqed_ciphertext(
+                e_, deserialize_mrqed_ciphertext(e_, ct_bytes)),
+            ct_bytes);
+  EXPECT_EQ(serialize_mrqed_key(e_, deserialize_mrqed_key(e_, key_bytes)),
+            key_bytes);
+  EXPECT_EQ(serialize_mrqed_public_key(
+                e_, deserialize_mrqed_public_key(e_, pk_bytes)),
+            pk_bytes);
+
+  const auto expect_error = [](auto&& decode, const char* what) {
+    try {
+      decode();
+      ADD_FAILURE() << "accepted; want " << what;
+    } catch (const std::invalid_argument& ex) {
+      EXPECT_STREQ(ex.what(), what);
+    }
+  };
+  // Ciphertext: u32 dims, u32 nodes, then per node check and share, each
+  // a G_T value and five points. Element 6 is the first share's G_T value,
+  // element 10 a point in the second lane chunk; a trailing byte follows.
+  const std::size_t first = 8;
+  for (const auto& [element, what] :
+       {std::pair<std::size_t, const char*>{6, "gt_deserialize: bad tag"},
+        {10, "Curve::deserialize: bad tag byte"}}) {
+    auto bad = ct_bytes;
+    bad[first + element * 65] = 9;
+    bad.push_back(0);
+    expect_error([&] { (void)deserialize_mrqed_ciphertext(e_, bad); }, what);
+  }
+  auto trailing = ct_bytes;
+  trailing.push_back(0);
+  expect_error([&] { (void)deserialize_mrqed_ciphertext(e_, trailing); },
+               "mrqed ciphertext: trailing bytes");
+  // Key: u32 dims, u32 nodes, then per node level u32, index u64 and ten
+  // points. Point 9 of node 0 is bad; the key is then cut short.
+  auto bad_key = key_bytes;
+  bad_key[8 + 12 + 9 * 65] = 9;
+  bad_key.pop_back();
+  expect_error([&] { (void)deserialize_mrqed_key(e_, bad_key); },
+               "Curve::deserialize: bad tag byte");
+  // Public key: the G_T value omega comes first.
+  auto bad_pk = pk_bytes;
+  bad_pk[0] = 9;
+  bad_pk.pop_back();
+  expect_error([&] { (void)deserialize_mrqed_public_key(e_, bad_pk); },
+               "gt_deserialize: bad tag");
+}
+
 TEST_F(MrqedTest, ArityValidation) {
   EXPECT_THROW((void)scheme_.encrypt(pk_, {1, 2}, rng_),
                std::invalid_argument);

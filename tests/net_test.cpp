@@ -37,6 +37,7 @@
 #include "core/apks_plus.h"
 #include "data/nursery.h"
 #include "data/workload.h"
+#include "hpe/serialize.h"
 #include "mrqed/mrqed_backend.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -352,6 +353,64 @@ TEST_F(NetTest, SignedSessionAuthAcceptsAndRejects) {
   const net::NetServerStats stats = net.stats();
   EXPECT_EQ(stats.auth_ok, 1u);
   EXPECT_EQ(stats.auth_rejected, 3u);
+}
+
+// The server decodes only k*_dec and keeps the rest of the key as the bytes
+// it received, so the signature check covers those bytes verbatim: a
+// flipped byte inside a k*_del point is refused as unauthorized, while a
+// layout fault there is still a malformed message.
+TEST_F(NetTest, SignedSessionCoversTheUndecodedKeyBytes) {
+  NetEnv& e = env();
+  SearchEngine engine(e.apks_server, {.threads = 1});
+  NetServer net(engine, NetServerOptions{});  // strict: signed only
+
+  const std::vector<std::uint8_t> query_bytes =
+      e.apks_backend.encode_query(e.apks_query);
+  const SignedQuery sq = e.ta.issue_query(e.apks_backend, e.apks_query, e.rng);
+  const std::vector<std::uint8_t> sig_bytes =
+      net::encode_signature(e.e.curve(), sq.sig);
+
+  // Capability layout: version u8, key length u32, then the key: level
+  // u32, dec, ran count, ran vectors, del count, del vectors (each vector
+  // a u32 count and its points).
+  const HpeKey& key = e.apks_query.as<Capability>().key;
+  constexpr std::size_t kPt = Curve::kCompressedSize;
+  std::size_t del_at = 1 + 4 + 4 + 4 + key.dec.size() * kPt + 4;
+  for (const GVec& v : key.ran) del_at += 4 + v.size() * kPt;
+  const std::size_t first_del_point = del_at + 4 + 4;
+  const std::size_t key_end = 1 + 4 + serialize_key(e.e, key).size();
+  ASSERT_LT(first_del_point + kPt, key_end);
+
+  std::vector<std::uint8_t> flipped = query_bytes;
+  flipped[first_del_point + 17] ^= 0x20;
+  // The last del vector loses its last point and the key length shrinks
+  // to match, so the vector's count exceeds its payload.
+  std::vector<std::uint8_t> truncated = query_bytes;
+  truncated.erase(truncated.begin() + static_cast<std::ptrdiff_t>(key_end - kPt),
+                  truncated.begin() + static_cast<std::ptrdiff_t>(key_end));
+  const std::uint32_t key_len = static_cast<std::uint32_t>(key_end - 5 - kPt);
+  for (int i = 0; i < 4; ++i) {
+    truncated[1 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(key_len >> (8 * i));
+  }
+
+  NetClient client;
+  client.connect("127.0.0.1", net.port(), 10000);
+  ASSERT_EQ(client.hello(SchemeKind::kApks).status, WireStatus::kOk);
+
+  EXPECT_EQ(client.auth_signed(flipped, sq.issuer, sig_bytes).status,
+            WireStatus::kUnauthorized);
+  EXPECT_EQ(client.auth_signed(truncated, sq.issuer, sig_bytes).status,
+            WireStatus::kBadRequest);
+  EXPECT_EQ(client.search().status, WireStatus::kUnauthorized);
+
+  const net::AuthAckMsg ok =
+      client.auth_signed(query_bytes, sq.issuer, sig_bytes);
+  ASSERT_EQ(ok.status, WireStatus::kOk) << ok.message;
+  EXPECT_EQ(ok.digest, e.apks_backend.digest(e.apks_query));
+  const RemoteResult remote = client.search();
+  EXPECT_EQ(remote.status, WireStatus::kOk);
+  EXPECT_FALSE(remote.refs.empty());
 }
 
 // A blocking loopback socket with a 5 s receive timeout, for speaking

@@ -4,9 +4,10 @@
 # artifact, a ThreadSanitizer build of the cloud/server concurrency tests,
 # a UBSan build of the scheme-backend surface (mrqed, proxy ingest,
 # backend type-erasure), a UBSan pairing stage that runs the
-# multi-pairing/SIMD-kernel, batched point-decode and IBS verification
-# tests (the verify runs a preprocessed multi-pairing over window tables)
-# with the lane engines forced on and off (APKS_FORCE_SCALAR), and a
+# multi-pairing/SIMD-kernel, batched point-decode, IBS verification and
+# serving-decoder (backend_test) tests (the verify runs a preprocessed
+# multi-pairing over window tables) with the lane engines forced on and
+# off (APKS_FORCE_SCALAR), and a
 # serving stage for the network layer (TSan server+client loopback tests,
 # the ASan hostile-frame sweep, and the serving load-generator smoke
 # artifact),
@@ -128,6 +129,10 @@ if [[ $STAGE == all ]]; then
   ./build/bench/bench_cache --smoke --json=build/BENCH_cache.json
   [[ -s build/BENCH_cache.json ]] ||
     { echo "build/BENCH_cache.json missing/empty"; exit 1; }
+
+  echo "=== bench smoke: authorization overhead + served-decode digest check ==="
+  ./build/bench/ablation_auth_overhead ||
+    { echo "ablation_auth_overhead exited with status $?"; exit 1; }
 fi
 
 if [[ $STAGE == all || $STAGE == store ]]; then
@@ -168,13 +173,13 @@ if [[ $STAGE == all || $STAGE == ubsan ]]; then
   done
 fi
 if [[ $STAGE == all || $STAGE == pairing ]]; then
-  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, batched point decode and IBS verify (forced on/off) ==="
+  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, batched point decode, IBS verify and serving decode (forced on/off) ==="
   configure build-ubsan -DAPKS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target pairing_test \
     multi_pairing_test curve_test serialize_test fuzz_test ibs_test \
-    authority_test bench_pairing
+    authority_test backend_test bench_pairing
   for t in pairing_test multi_pairing_test curve_test serialize_test \
-      fuzz_test ibs_test authority_test; do
+      fuzz_test ibs_test authority_test backend_test; do
     echo "--- $t (UBSan, SIMD auto) ---"
     ./build-ubsan/tests/"$t"
     echo "--- $t (UBSan, APKS_FORCE_SCALAR=1) ---"
