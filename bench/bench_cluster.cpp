@@ -52,6 +52,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "cloud/search_engine.h"
+#include "cloud/server.h"
 #include "cluster/coordinator.h"
 #include "cluster/node.h"
 #include "common/failpoint.h"
@@ -317,7 +319,13 @@ int main(int argc, char** argv) {
   const Capability cap =
       scheme.gen_cap(msk, nursery_point_query(rows[739 % rows.size()]), rng);
   const AnyQuery query = AnyQuery::ref(SchemeKind::kApks, &cap);
-  const std::vector<std::string> expected = store.search_any(query);
+  // The single-node answer every fleet must reproduce: one SearchEngine
+  // over a CloudServer loaded from the same store.
+  CloudServer single(backend, CapabilityVerifier(pairing, IbsPublicParams{}));
+  (void)single.load_from(store);
+  const std::vector<std::string> expected =
+      SearchEngine(single, {.threads = 1})
+          .search_batch_unchecked_any({&query, 1})[0];
   std::printf("records: %zu across %u shards, %zu match the bench query\n",
               store.record_count(), store.shard_count(), expected.size());
 

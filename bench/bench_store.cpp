@@ -1,15 +1,13 @@
-// Storage engine throughput: ingest, reload, and the disk-scan penalty.
+// Storage engine throughput: ingest, reload, and the scan they feed.
 //
 // The paper's server is an in-memory linear scanner; the storage engine
 // adds durability (CRC-framed segments, crash recovery) underneath it.
 // This bench answers the questions that decide whether persistence is
 // free: how fast records ingest through the write-through path (crypto
 // excluded — records are pre-generated), how fast a cold server reloads
-// from disk, and how much slower a shard-parallel scan over the on-disk
-// segments is than the same scan over the in-memory record vector.
-// Expected shape: ingest and reload are I/O-bound and orders of magnitude
-// faster than gen_index; the disk-scan delta is small because pairing
-// evaluations, not frame decoding, dominate the scan.
+// from disk, and what one scan of the reloaded records costs next to
+// them. Expected shape: ingest and reload are I/O-bound and orders of
+// magnitude faster than gen_index; the scan is pairing-bound.
 #include <filesystem>
 
 #include "bench/bench_util.h"
@@ -60,17 +58,16 @@ int main(int argc, char** argv) {
   }
   const Capability cap =
       scheme.gen_cap(msk, nursery_worst_case_query(1, rng), rng);
-  const AnyQuery query = AnyQuery::ref(SchemeKind::kApks, &cap);
 
   const fs::path dir =
       fs::temp_directory_path() /
       ("apks-bench-store-" + std::to_string(static_cast<unsigned>(getpid())));
   fs::remove_all(dir);
 
-  print_header("Storage engine: ingest, reload, disk scan",
+  print_header("Storage engine: ingest, reload, scan",
                "persistence layer under the Section VII server; the paper's "
-               "scan cost is pairing-bound, so disk streaming should be "
-               "nearly free");
+               "scan cost is pairing-bound, so ingest and reload should be "
+               "small next to one scan");
   std::printf("records: %zu, shards: %u, payload: %.1f KiB\n", kRecords,
               kShards, static_cast<double>(payload_bytes) / 1024.0);
 
@@ -120,31 +117,15 @@ int main(int argc, char** argv) {
                   {"seconds", reload_s},
                   {"records_per_s", reload_rps}});
 
-  // --- Scan: on-disk shard-parallel stream vs the in-memory record vector,
-  // same capability, same worst-case query. The in-memory scan is the
-  // server's one scan, SearchEngine on one worker; with its prepared cache
-  // off it prepares on every call, as the disk scan does.
+  // --- Scan: the server's one scan over the reloaded records,
+  // SearchEngine on one worker with the prepared cache off, so every call
+  // prepares the worst-case query afresh.
   const SearchEngine engine(server, {.threads = 1, .cache_capacity = 0});
   const double mem_s = time_op_median(
       [&] { (void)engine.search_batch_unchecked({&cap, 1}); },
       args.smoke ? 200 : 500, args.smoke ? 3 : 8);
-  const double disk_s = time_op_median(
-      [&] { (void)store.search_any(query, 1); }, args.smoke ? 200 : 500,
-      args.smoke ? 3 : 8);
-  const double disk_par_s = time_op_median(
-      [&] { (void)store.search_any(query, kShards); },
-      args.smoke ? 200 : 500, args.smoke ? 3 : 8);
-  std::printf("scan in-memory: %.4f s; disk 1 thread: %.4f s (%.2fx); "
-              "disk %u threads: %.4f s\n",
-              mem_s, disk_s, disk_s / mem_s, kShards, disk_par_s);
+  std::printf("scan in-memory: %.4f s\n", mem_s);
   report.add_row({{"phase", "scan_memory"}, {"seconds", mem_s}});
-  report.add_row({{"phase", "scan_disk"},
-                  {"seconds", disk_s},
-                  {"vs_memory", disk_s / mem_s}});
-  report.add_row({{"phase", "scan_disk_parallel"},
-                  {"seconds", disk_par_s},
-                  {"threads", kShards},
-                  {"vs_memory", disk_par_s / mem_s}});
 
   fs::remove_all(dir);
   if (args.json && !report.write(args.json_path)) return 1;

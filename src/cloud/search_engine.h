@@ -212,7 +212,7 @@ class SearchEngine {
   // `match_ids` (one vector per query, parallel to the results) receives
   // the record id of every match. Ids are the merge key a coordinator
   // needs to k-way merge per-shard results byte-identically to a
-  // single-node ShardedStore scan.
+  // single-node search over the whole store.
   [[nodiscard]] std::vector<std::vector<std::string>>
   search_batch_unchecked_any_ids(
       std::span<const AnyQuery> queries,

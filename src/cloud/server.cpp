@@ -104,7 +104,7 @@ std::size_t CloudServer::load_from(ShardedStore& store) {
   std::vector<Loaded> loaded;
   std::vector<SegmentId> table;
   std::unordered_map<SegmentId, std::int32_t, SegmentIdHash> slots;
-  store.for_each_record_any_segmented(
+  store.for_each_record_any(
       [&](StoredAnyRecord&& rec, const SegmentId& seg, bool sealed) {
         std::int32_t slot = -1;
         if (sealed) {

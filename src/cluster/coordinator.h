@@ -8,9 +8,9 @@
 // internal hop re-sends the query unchecked, which only nodes opted into
 // allow_unchecked accept (the trusted-tier deployment). Per-shard hits
 // come back with their record ids and are merged ascending by id:
-// byte-identical to ShardedStore::search_any over the same records,
-// because both sides run the identical concatenate-then-sort merge and
-// ids are unique.
+// byte-identical to a single-node SearchEngine over the same records,
+// which answers in ascending-id order (CloudServer::load_from sorts by
+// id) — ids are unique, so the merge order is the scan order.
 //
 // Failure handling is the proxy pool's pattern lifted to nodes, made
 // PROACTIVE by the health subsystem:

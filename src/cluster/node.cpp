@@ -63,6 +63,7 @@ std::shared_ptr<ClusterNode::ShardState> ClusterNode::build_state(
   // an engine built under the old map serves the new one unchanged); mark
   // the rest for loading.
   std::vector<std::uint32_t> to_load;
+  std::vector<CloudServer*> loading(map.total_shards(), nullptr);
   state->servers.resize(state->owned.size());
   state->engines.resize(state->owned.size());
   for (std::size_t i = 0; i < state->owned.size(); ++i) {
@@ -82,31 +83,20 @@ std::shared_ptr<ClusterNode::ShardState> ClusterNode::build_state(
       state->engines[i] =
           std::make_shared<SearchEngine>(*state->servers[i], engine_options_);
       to_load.push_back(state->owned[i]);
+      loading[state->owned[i]] = state->servers[i].get();
     }
   }
 
-  // One streaming store pass restores every newly-assigned shard in
-  // ascending-id order: for_each_record_any streams each store shard's
-  // records ascending, and store shard == id % total_shards == cluster
-  // shard.
+  // Stream (and decode) only the newly assigned shards. Store shard ==
+  // id % total_shards == cluster shard, and each store shard streams its
+  // records in ascending-id order, which is the order restore needs.
   if (!to_load.empty()) {
-    const std::uint64_t total = map.total_shards();
-    store_->for_each_record_any([&](StoredAnyRecord&& record) {
-      const std::uint32_t shard =
-          static_cast<std::uint32_t>(record.id % total);
-      for (const std::uint32_t wanted : to_load) {
-        if (wanted != shard) continue;
-        for (std::size_t i = 0; i < state->owned.size(); ++i) {
-          if (state->owned[i] == shard) {
-            state->servers[i]->restore_any(record.id,
-                                           std::move(record.index),
-                                           std::move(record.doc_ref));
-            break;
-          }
-        }
-        break;
-      }
-    });
+    store_->for_each_record_any(
+        [&](StoredAnyRecord&& record, const SegmentId& seg, bool) {
+          loading[seg.shard]->restore_any(record.id, std::move(record.index),
+                                          std::move(record.doc_ref));
+        },
+        to_load);
   }
 
   state->set.map_version = map.version();

@@ -106,10 +106,11 @@ class ClusterMap {
   std::vector<std::vector<std::uint32_t>> placement_;
 };
 
-// Merge per-shard hit streams back into one ascending-id ref list — the
-// same concatenate-then-sort ShardedStore::search_any performs locally,
-// so a coordinator gluing node responses together reproduces the
-// single-node byte order exactly (record ids are unique across shards).
+// Merge per-shard hit streams back into one ascending-id ref list. A
+// single-node SearchEngine answers in ascending-id order (its server's
+// records are sorted by id), so a coordinator gluing node responses
+// together reproduces the single-node byte order exactly (record ids are
+// unique across shards).
 // Consumes the hits (refs are moved out).
 [[nodiscard]] std::vector<std::string> merge_by_id(
     std::vector<std::vector<net::ShardHit>> parts);

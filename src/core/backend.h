@@ -93,11 +93,10 @@ class DeadlineExceeded : public ServingError {
       : ServingError(ErrorCode::kDeadlineExceeded, what) {}
 };
 
-// Per-request serving limits, honoured cooperatively at scan-block (or,
-// for the disk scans, per-record) boundaries — a pairing evaluation is
-// never interrupted mid-flight, so overshoot is bounded by one block's
-// worth of match calls. Shared by CloudServer, SearchEngine, and
-// ShardedStore's streamed disk scans.
+// Per-request serving limits, honoured cooperatively at scan-block
+// boundaries — a pairing evaluation is never interrupted mid-flight, so
+// overshoot is bounded by one block's worth of match calls. SearchEngine
+// honours them; the cluster Coordinator carries them across its scatter.
 struct ServeControl {
   // Wall-clock budget for the request, from entry to results. 0 = none
   // (SearchEngine falls back to its Options::deadline_ms default).
@@ -107,8 +106,7 @@ struct ServeControl {
   const std::atomic<bool>* cancel = nullptr;
   // When true, a deadline/cancellation returns the matches found so far
   // (metrics flag the truncation) instead of throwing DeadlineExceeded /
-  // ServingError(kCancelled). SearchEngine and ShardedStore scans only;
-  // CloudServer's single-query path always throws.
+  // ServingError(kCancelled).
   bool partial_ok = false;
 };
 

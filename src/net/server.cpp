@@ -787,10 +787,10 @@ std::vector<ShardHit> NetServer::scan_shards(
     }
   }
   end.wall_us = static_cast<std::uint64_t>(wall_s * 1e6);
-  // The same concatenate-then-sort-by-id merge ShardedStore::search_any
-  // performs (ids are unique across shards), so a coordinator gluing
-  // per-node hit streams back together reproduces the single-node byte
-  // order exactly.
+  // Sort by id (ids are unique across shards): the ascending-id order a
+  // single-node SearchEngine answers in, so a coordinator gluing per-node
+  // hit streams back together reproduces the single-node byte order
+  // exactly.
   std::sort(hits.begin(), hits.end(),
             [](const ShardHit& a, const ShardHit& b) { return a.id < b.id; });
   return hits;

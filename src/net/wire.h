@@ -230,7 +230,7 @@ struct StatusMsg {
 // A coordinator scatters a search over shard-owning nodes. Unlike kSearch,
 // the response hits carry the record *id* next to every doc_ref: ids are
 // the merge key that makes the coordinator's k-way merge byte-identical to
-// a single-node ShardedStore scan (DESIGN.md §5i).
+// a single-node search over the whole store (DESIGN.md §5i).
 
 // One matched record of a shard-scoped search.
 struct ShardHit {

@@ -246,45 +246,24 @@ void IndexStore::rotate() {
   fire_invalidation(announced);
 }
 
-void IndexStore::for_each(
-    const std::function<void(std::span<const std::uint8_t>)>& fn) {
+void IndexStore::for_each(const RecordFn& fn) {
   active_->flush();
-  for (const SealedSegment& s : sealed_) {
-    const SegmentScanResult scan = scan_segment(segment_path(s.seq), fn);
-    if (scan.records != s.records) {
-      fail_corrupt("sealed segment corrupt", segment_path(s.seq));
-    }
-  }
-  (void)scan_segment(active_->path(), fn);
-}
-
-bool IndexStore::for_each_segmented(
-    const std::function<bool(std::span<const std::uint8_t>, const SegmentId&,
-                             bool sealed)>& fn) {
-  active_->flush();
-  bool stopped = false;
   for (const SealedSegment& s : sealed_) {
     const SegmentId id = id_of(s);
-    const SegmentScanResult scan = scan_segment_until(
-        segment_path(s.seq),
-        [&](std::span<const std::uint8_t> payload) {
-          return fn(payload, id, /*sealed=*/true);
-        },
-        &stopped);
-    if (stopped) return false;
+    const SegmentScanResult scan = scan_segment(
+        segment_path(s.seq), [&](std::span<const std::uint8_t> payload) {
+          fn(payload, id, /*sealed=*/true);
+        });
     if (scan.records != s.records) {
       fail_corrupt("sealed segment corrupt", segment_path(s.seq));
     }
   }
   const SegmentId active_id{options_.store_uid, shard_id_,
                             active_->info().seq, 0};
-  (void)scan_segment_until(
-      active_->path(),
-      [&](std::span<const std::uint8_t> payload) {
-        return fn(payload, active_id, /*sealed=*/false);
-      },
-      &stopped);
-  return !stopped;
+  (void)scan_segment(active_->path(),
+                     [&](std::span<const std::uint8_t> payload) {
+                       fn(payload, active_id, /*sealed=*/false);
+                     });
 }
 
 std::vector<SegmentId> IndexStore::sealed_segment_ids() const {
@@ -317,9 +296,8 @@ std::uint64_t IndexStore::compact() {
   // Stream every record into one fresh sealed segment.
   const std::uint64_t merged_seq = next_seq_++;
   SegmentWriter merged(segment_path(merged_seq), shard_id_, merged_seq);
-  for_each([&](std::span<const std::uint8_t> payload) {
-    merged.append(payload);
-  });
+  for_each([&](std::span<const std::uint8_t> payload, const SegmentId&,
+               bool) { merged.append(payload); });
   merged.sync();
   const SealedSegment entry{merged_seq, merged.records(), merged.bytes(),
                             ++epoch_};

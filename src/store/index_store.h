@@ -119,19 +119,13 @@ class IndexStore {
   void sync();   // fsync the active segment (durability barrier)
 
   // Streams every committed record, sealed segments first, in append
-  // order. Flushes the writer first so the scan sees all records.
-  void for_each(
-      const std::function<void(std::span<const std::uint8_t>)>& fn);
-
-  // Segment-aware, stop-capable streaming: `fn` receives each committed
-  // payload together with the identity of the segment holding it and
-  // whether that segment is sealed (immutable — only sealed segments may
-  // be memoized by layers above; the active tail reports sealed=false and
-  // epoch 0). Returning false stops the stream; the method returns false
-  // iff it was stopped early.
-  bool for_each_segmented(
-      const std::function<bool(std::span<const std::uint8_t>,
-                               const SegmentId&, bool sealed)>& fn);
+  // order, each with the identity of the segment holding it and whether
+  // that segment is sealed (immutable — only sealed segments may be
+  // memoized by layers above; the active tail reports sealed=false and
+  // epoch 0). Flushes the writer first so the scan sees all records.
+  using RecordFn = std::function<void(std::span<const std::uint8_t>,
+                                      const SegmentId&, bool sealed)>;
+  void for_each(const RecordFn& fn);
 
   // Rewrites the whole chain into a single fresh sealed segment and a new
   // empty active segment, dropping nothing (compaction reclaims the space

@@ -36,14 +36,14 @@ std::uint64_t load_u64(const std::uint8_t* p) {
   return v;
 }
 
-SegmentScanResult scan_segment_impl(
+}  // namespace
+
+SegmentScanResult scan_segment(
     const std::filesystem::path& path,
-    const std::function<bool(std::span<const std::uint8_t>)>& fn,
-    bool* stopped) {
+    const std::function<void(std::span<const std::uint8_t>)>& fn) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) fail_io("scan_segment: cannot open", path);
   SegmentScanResult out;
-  if (stopped != nullptr) *stopped = false;
   try {
     std::uint8_t header[kSegmentHeaderSize];
     if (std::fread(header, 1, sizeof(header), f) != sizeof(header) ||
@@ -69,10 +69,7 @@ SegmentScanResult scan_segment_impl(
       if (crc32(payload) != crc) break;  // bit rot / torn write over old data
       out.valid_bytes += kFrameHeaderSize + len;
       ++out.records;
-      if (fn && !fn(payload)) {
-        if (stopped != nullptr) *stopped = true;
-        break;
-      }
+      if (fn) fn(payload);
     }
     std::error_code ec;
     out.file_bytes = std::filesystem::file_size(path, ec);
@@ -86,28 +83,6 @@ SegmentScanResult scan_segment_impl(
   }
   std::fclose(f);
   return out;
-}
-
-}  // namespace
-
-SegmentScanResult scan_segment(
-    const std::filesystem::path& path,
-    const std::function<void(std::span<const std::uint8_t>)>& fn) {
-  if (!fn) return scan_segment_impl(path, {}, nullptr);
-  return scan_segment_impl(
-      path,
-      [&fn](std::span<const std::uint8_t> payload) {
-        fn(payload);
-        return true;
-      },
-      nullptr);
-}
-
-SegmentScanResult scan_segment_until(
-    const std::filesystem::path& path,
-    const std::function<bool(std::span<const std::uint8_t>)>& fn,
-    bool* stopped) {
-  return scan_segment_impl(path, fn, stopped);
 }
 
 SegmentWriter::SegmentWriter(const std::filesystem::path& path,

@@ -66,16 +66,6 @@ SegmentScanResult scan_segment(
     const std::filesystem::path& path,
     const std::function<void(std::span<const std::uint8_t>)>& fn = {});
 
-// Stop-capable variant: `fn` returns false to end the scan early (the
-// cooperative cancellation/deadline path of the streamed disk scans).
-// `stopped` (optional) reports whether `fn` stopped the scan; when it did,
-// `records`/`valid_bytes` cover only the frames streamed so far and the
-// torn-tail signal is meaningless (the file was not read to its end).
-SegmentScanResult scan_segment_until(
-    const std::filesystem::path& path,
-    const std::function<bool(std::span<const std::uint8_t>)>& fn,
-    bool* stopped = nullptr);
-
 class SegmentWriter {
  public:
   // Creates (or truncates) a fresh segment file and writes its header.

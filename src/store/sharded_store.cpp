@@ -7,14 +7,11 @@
 #include <fstream>
 #include <random>
 #include <stdexcept>
-#include <thread>
 
 #include <unistd.h>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
-#include "common/failpoint.h"
-#include "core/serialize_apks.h"
 #include "store/fs.h"
 
 namespace apks {
@@ -136,7 +133,11 @@ struct RecordHead {
   std::span<const std::uint8_t> index_bytes;
 };
 
-RecordHead decode_head(std::span<const std::uint8_t> payload) {
+// A frame that passed its CRC but does not decode is not a crash artifact
+// — it is a codec mismatch or a store bug — so it is refused as corrupt,
+// naming the shard directory that holds it.
+RecordHead decode_head(std::span<const std::uint8_t> payload,
+                       const std::filesystem::path& shard) {
   try {
     ByteReader r(payload);
     RecordHead head;
@@ -148,11 +149,17 @@ RecordHead decode_head(std::span<const std::uint8_t> payload) {
     }
     return head;
   } catch (const std::exception& ex) {
-    // A frame that passed its CRC but does not decode is not a crash
-    // artifact — it is a codec mismatch or a store bug. Surface loudly.
-    throw std::runtime_error(std::string("store record corrupt: ") +
-                             ex.what());
+    throw StoreError(ErrorCode::kCorrupt,
+                     std::string("store record corrupt: ") + ex.what() +
+                         ": " + shard.string(),
+                     shard.string());
   }
+}
+
+template <typename Record>
+void sort_by_id(std::vector<Record>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.id < b.id; });
 }
 
 }  // namespace
@@ -191,8 +198,9 @@ ShardedStore::ShardedStore(const SearchBackend& backend,
   // here also re-verifies every checksum of the store at open time.
   std::uint64_t max_id = 0;
   for (const auto& shard : shards_) {
-    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
-      max_id = std::max(max_id, decode_head(payload).id);
+    shard->store.for_each([&](std::span<const std::uint8_t> payload,
+                              const SegmentId&, bool) {
+      max_id = std::max(max_id, decode_head(payload, shard->store.dir()).id);
     });
   }
   next_id_.store(max_id + 1, std::memory_order_relaxed);
@@ -241,36 +249,26 @@ void ShardedStore::sync() {
 }
 
 void ShardedStore::for_each_record_any(
-    const std::function<void(StoredAnyRecord&&)>& fn) {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
-      RecordHead head = decode_head(payload);
-      StoredAnyRecord rec;
-      rec.id = head.id;
-      rec.doc_ref = std::move(head.doc_ref);
-      rec.index = backend_->decode_index(head.index_bytes);
-      fn(std::move(rec));
+    const RecordFn& fn, std::span<const std::uint32_t> shards) {
+  const auto stream = [&](Shard& shard) {
+    std::shared_lock lock(shard.mutex);
+    shard.store.for_each([&](std::span<const std::uint8_t> payload,
+                             const SegmentId& seg, bool sealed) {
+      RecordHead head = decode_head(payload, shard.store.dir());
+      fn(StoredAnyRecord{head.id, std::move(head.doc_ref),
+                         backend_->decode_index(head.index_bytes)},
+         seg, sealed);
     });
+  };
+  if (shards.empty()) {
+    for (const auto& shard : shards_) stream(*shard);
+    return;
   }
-}
-
-void ShardedStore::for_each_record_any_segmented(
-    const std::function<void(StoredAnyRecord&&, const SegmentId&,
-                             bool sealed)>& fn) {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    (void)shard->store.for_each_segmented(
-        [&](std::span<const std::uint8_t> payload, const SegmentId& seg,
-            bool sealed) {
-          RecordHead head = decode_head(payload);
-          StoredAnyRecord rec;
-          rec.id = head.id;
-          rec.doc_ref = std::move(head.doc_ref);
-          rec.index = backend_->decode_index(head.index_bytes);
-          fn(std::move(rec), seg, sealed);
-          return true;
-        });
+  for (const std::uint32_t s : shards) {
+    if (s >= shards_.size()) {
+      throw std::out_of_range("ShardedStore: no shard " + std::to_string(s));
+    }
+    stream(*shards_[s]);
   }
 }
 
@@ -292,181 +290,28 @@ void ShardedStore::set_invalidation_hook(SegmentInvalidationHook hook) {
   }
 }
 
+// Each shard streams in ascending-id order already; a global sort by id
+// restores the original upload order across shards.
 std::vector<StoredIndexRecord> ShardedStore::load_all() {
   require_apks_family("ShardedStore::load_all");
   std::vector<StoredIndexRecord> out;
   out.reserve(record_count());
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
-      RecordHead head = decode_head(payload);
-      out.push_back({head.id, std::move(head.doc_ref),
-                     deserialize_index(backend_->pairing(), head.index_bytes)});
-    });
-  }
-  // Each shard streams in ascending-id order already; a global sort by id
-  // restores the original upload order across shards.
-  std::sort(out.begin(), out.end(),
-            [](const StoredIndexRecord& a, const StoredIndexRecord& b) {
-              return a.id < b.id;
-            });
+  for_each_record_any([&](StoredAnyRecord&& rec, const SegmentId&, bool) {
+    out.push_back({rec.id, std::move(rec.doc_ref),
+                   rec.index.as<EncryptedIndex>()});
+  });
+  sort_by_id(out);
   return out;
 }
 
 std::vector<StoredAnyRecord> ShardedStore::load_all_any() {
   std::vector<StoredAnyRecord> out;
   out.reserve(record_count());
-  for_each_record_any([&](StoredAnyRecord&& rec) {
+  for_each_record_any([&](StoredAnyRecord&& rec, const SegmentId&, bool) {
     out.push_back(std::move(rec));
   });
-  std::sort(out.begin(), out.end(),
-            [](const StoredAnyRecord& a, const StoredAnyRecord& b) {
-              return a.id < b.id;
-            });
+  sort_by_id(out);
   return out;
-}
-
-namespace {
-
-// The cooperative stop state of search_any (one atomic, polled once per
-// streamed record by every worker) plus the merge/outcome epilogue.
-struct ScanControlState {
-  using Clock = std::chrono::steady_clock;
-
-  explicit ScanControlState(const ServeControl& control)
-      : control_(control),
-        has_deadline_(control.deadline_ms != 0),
-        deadline_at_(Clock::now() +
-                     std::chrono::milliseconds(control.deadline_ms)) {}
-
-  // Why the scan stopped (mirrors SearchEngine's StopReason).
-  enum : int { kRun = 0, kStopDeadline = 1, kStopCancelled = 2 };
-
-  [[nodiscard]] bool should_stop() {
-    if (stop_.load(std::memory_order_relaxed) != kRun) return true;
-    if (control_.cancel != nullptr &&
-        control_.cancel->load(std::memory_order_relaxed)) {
-      stop_.store(kStopCancelled, std::memory_order_relaxed);
-      return true;
-    }
-    if (has_deadline_ && Clock::now() >= deadline_at_) {
-      stop_.store(kStopDeadline, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] int outcome() const {
-    return stop_.load(std::memory_order_relaxed);
-  }
-
-  // Fills `stats`, then throws on a non-partial_ok truncation.
-  void finish(StoreScanStats* stats, std::size_t scanned,
-              std::size_t matched) const {
-    const int out = outcome();
-    if (stats != nullptr) {
-      stats->scanned = scanned;
-      stats->matched = matched;
-      stats->deadline_exceeded = out == kStopDeadline;
-      stats->cancelled = out == kStopCancelled;
-    }
-    if (out == kRun || control_.partial_ok) return;
-    if (out == kStopCancelled) {
-      throw ServingError(ErrorCode::kCancelled,
-                         "store scan cancelled after " +
-                             std::to_string(scanned) + " records");
-    }
-    throw DeadlineExceeded("store scan deadline (" +
-                           std::to_string(control_.deadline_ms) +
-                           " ms) exceeded after " + std::to_string(scanned) +
-                           " records");
-  }
-
- private:
-  const ServeControl& control_;
-  const bool has_deadline_;
-  const Clock::time_point deadline_at_;
-  std::atomic<int> stop_{kRun};
-};
-
-}  // namespace
-
-std::vector<std::string> ShardedStore::search_any(const AnyQuery& query,
-                                                  std::size_t threads,
-                                                  StoreScanStats* stats,
-                                                  const ServeControl& control) {
-  const SearchBackend& backend = *backend_;
-  const AnyPrepared prepared = backend.prepare(query);
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, shards_.size());
-
-  ScanControlState scan_control(control);
-  struct ShardResult {
-    std::vector<std::pair<std::uint64_t, std::string>> matches;
-    std::size_t scanned = 0;
-  };
-  std::vector<ShardResult> results(shards_.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(threads);
-  auto worker = [&](std::size_t t) {
-    try {
-      for (;;) {
-        if (scan_control.should_stop()) return;
-        const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
-        if (s >= shards_.size()) return;
-        Shard& shard = *shards_[s];
-        std::shared_lock lock(shard.mutex);
-        (void)shard.store.for_each_segmented(
-            [&](std::span<const std::uint8_t> payload, const SegmentId&,
-                bool) {
-              // Record boundary: the only place a disk scan gives up.
-              if (scan_control.should_stop()) return false;
-              // Chaos tests arm this site with a delay to force deadlines
-              // deterministically mid-shard.
-              (void)failpoint("store.scan_record");
-              RecordHead head = decode_head(payload);
-              const AnyIndex index = backend.decode_index(head.index_bytes);
-              ++results[s].scanned;
-              if (backend.match(prepared, index)) {
-                results[s].matches.emplace_back(head.id,
-                                                std::move(head.doc_ref));
-              }
-              return true;
-            });
-      }
-    } catch (...) {
-      errors[t] = std::current_exception();
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& t : pool) t.join();
-  }
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-
-  std::vector<std::pair<std::uint64_t, std::string>> merged;
-  std::size_t scanned = 0;
-  for (ShardResult& r : results) {
-    scanned += r.scanned;
-    merged.insert(merged.end(), std::make_move_iterator(r.matches.begin()),
-                  std::make_move_iterator(r.matches.end()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  scan_control.finish(stats, scanned, merged.size());
-  std::vector<std::string> refs;
-  refs.reserve(merged.size());
-  for (auto& [id, ref] : merged) refs.push_back(std::move(ref));
-  return refs;
 }
 
 std::uint64_t ShardedStore::compact() {

@@ -18,8 +18,9 @@
 // that never restarted.
 //
 // Concurrency: append takes the target shard's lock exclusively;
-// streaming reads (load_all, search_any, for_each_record_any) hold every
-// shard they touch shared — same contract as CloudServer's record store. Ids
+// streaming reads (load_all, for_each_record_any) hold each shard they
+// stream shared while they stream it. The store has no search of its own:
+// a server loads it (CloudServer::load_from) and SearchEngine scans. Ids
 // come from one atomic counter, seeded past the largest id on disk at
 // open (open replays every committed frame, which doubles as an
 // end-to-end checksum validation of the whole store).
@@ -28,8 +29,10 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,16 +63,6 @@ struct ShardedStoreOptions {
   IndexStoreOptions segment;
 };
 
-struct StoreScanStats {
-  std::size_t scanned = 0;
-  std::size_t matched = 0;
-  // Deadline/cancellation outcome of a controlled scan: the workers
-  // stopped mid-stream, so `scanned` covers only the records decoded
-  // before the stop and the matches are the prefix each shard reached.
-  bool deadline_exceeded = false;
-  bool cancelled = false;
-};
-
 class ShardedStore {
  public:
   // Opens (creating if absent) and crash-recovers every shard. Records are
@@ -97,35 +90,17 @@ class ShardedStore {
   [[nodiscard]] std::vector<StoredIndexRecord> load_all();
   [[nodiscard]] std::vector<StoredAnyRecord> load_all_any();
 
-  // Streams records shard-by-shard (ascending id within a shard, shard
-  // order unspecified) without materializing the whole store.
-  void for_each_record_any(
-      const std::function<void(StoredAnyRecord&&)>& fn);
-
-  // Segment-aware streaming: each decoded record arrives with the durable
+  // Streams decoded records shard by shard, ascending id within a shard,
+  // without materializing the store. Each record arrives with the durable
   // identity of the segment holding it and whether that segment is sealed
-  // (immutable). CloudServer::load_from uses this to tag its in-memory
-  // records for the verdict cache — only sealed segments may be memoized.
-  void for_each_record_any_segmented(
-      const std::function<void(StoredAnyRecord&&, const SegmentId&,
-                               bool sealed)>& fn);
-
-  // Linear scan directly over the on-disk segments, shard-parallel:
-  // prepares the query with the store's backend, then decodes and matches
-  // each record as it streams, never holding more than one record per
-  // worker in memory. Results are in ascending-id order — identical to a
-  // SearchEngine scan of a CloudServer over the same records. threads == 0
-  // uses hardware concurrency (capped at the shard count).
-  //
-  // `control` is polled per streamed record (the disk scan's block size is
-  // one record): a deadline or cancellation stops every shard worker
-  // mid-stream and the call throws DeadlineExceeded /
-  // ServingError(kCancelled) — with `stats` already filled with the
-  // partial progress and outcome flags — unless control.partial_ok, in
-  // which case the matches found so far come back with the flags set.
-  [[nodiscard]] std::vector<std::string> search_any(
-      const AnyQuery& query, std::size_t threads = 0,
-      StoreScanStats* stats = nullptr, const ServeControl& control = {});
+  // (immutable): CloudServer::load_from tags its records with these for
+  // the verdict cache, which may memoize only sealed segments. `shards`
+  // names the shards to stream, in that order; empty streams every shard
+  // in shard order. Records of shards not named are never decoded.
+  using RecordFn = std::function<void(StoredAnyRecord&&, const SegmentId&,
+                                      bool sealed)>;
+  void for_each_record_any(const RecordFn& fn,
+                           std::span<const std::uint32_t> shards = {});
 
   // Compacts every shard chain; returns total bytes reclaimed.
   std::uint64_t compact();

@@ -87,9 +87,10 @@ std::vector<std::uint8_t> random_payload(std::uint64_t& rng) {
 
 std::vector<std::vector<std::uint8_t>> all_records(IndexStore& store) {
   std::vector<std::vector<std::uint8_t>> got;
-  store.for_each([&](std::span<const std::uint8_t> payload) {
-    got.emplace_back(payload.begin(), payload.end());
-  });
+  store.for_each(
+      [&](std::span<const std::uint8_t> payload, const SegmentId&, bool) {
+        got.emplace_back(payload.begin(), payload.end());
+      });
   return got;
 }
 
@@ -544,73 +545,6 @@ TEST_F(ChaosTest, AdmissionShedsBatchesBeyondMaxInflight) {
   EXPECT_EQ(counters.shed, 1u);
   EXPECT_EQ(counters.served, 1u);
   EXPECT_EQ(engine.inflight(), 0u);
-}
-
-// The shard-parallel disk scan honours the same ServeControl contract as
-// the in-memory paths: a cancel token or deadline stops the workers at the
-// next per-record poll — mid-shard, not after streaming every segment —
-// with the typed error and the partial progress in the stats.
-TEST_F(ChaosTest, StoreScanCancellationStopsMidShard) {
-  PlusEnv& env = plus_env();
-  ApksPlusBackend backend(env.plus);
-  ShardedStoreOptions sopts;
-  sopts.shards = 2;
-  ShardedStore store(backend, dir_.path(), sopts);
-  for (std::size_t i = 0; i < env.expected.size(); ++i) {
-    (void)store.append_any(env.refs[i],
-                           AnyIndex::own(SchemeKind::kApksPlus,
-                                         env.expected[i]));
-  }
-  store.sync();
-  const Capability cap = env.plus.gen_cap(
-      env.setup.msk, nursery_point_query(env.target_row()), env.rng);
-  const AnyQuery query = AnyQuery::ref(SchemeKind::kApksPlus, &cap);
-
-  // Fault-free reference: the whole store is scanned.
-  StoreScanStats full_stats;
-  const auto full = store.search_any(query, 2, &full_stats);
-  ASSERT_EQ(full_stats.scanned, env.expected.size());
-  ASSERT_FALSE(full.empty());
-
-  // A pre-cancelled token stops the workers before the scan makes any
-  // progress; the typed error carries the cancellation code.
-  std::atomic<bool> cancel{true};
-  ServeControl ctl;
-  ctl.cancel = &cancel;
-  StoreScanStats cancel_stats;
-  try {
-    (void)store.search_any(query, 2, &cancel_stats, ctl);
-    FAIL() << "cancelled store scan must throw";
-  } catch (const ServingError& err) {
-    EXPECT_EQ(err.code(), ErrorCode::kCancelled);
-  }
-  EXPECT_TRUE(cancel_stats.cancelled);
-  EXPECT_FALSE(cancel_stats.deadline_exceeded);
-  EXPECT_LT(cancel_stats.scanned, full_stats.scanned);
-
-  // Partial mode returns the prefix each worker reached instead.
-  ctl.partial_ok = true;
-  StoreScanStats partial_stats;
-  const auto partial = store.search_any(query, 2, &partial_stats, ctl);
-  EXPECT_TRUE(partial_stats.cancelled);
-  EXPECT_LE(partial.size(), full.size());
-
-  // Deadline mid-shard: stall every record decode; the scan gets through
-  // some records but dies at a per-record poll well before the end —
-  // proving the workers poll inside a shard's stream, not between shards.
-  FailpointPolicy slow;
-  slow.action = FailAction::kDelay;
-  slow.delay_ms = 30;
-  Failpoints::instance().set("store.scan_record", slow);
-  ServeControl tight;
-  tight.deadline_ms = 45;
-  tight.partial_ok = true;
-  StoreScanStats deadline_stats;
-  (void)store.search_any(query, 1, &deadline_stats, tight);
-  EXPECT_TRUE(deadline_stats.deadline_exceeded);
-  EXPECT_FALSE(deadline_stats.cancelled);
-  EXPECT_GT(deadline_stats.scanned, 0u);
-  EXPECT_LT(deadline_stats.scanned, full_stats.scanned);
 }
 
 TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {

@@ -15,7 +15,8 @@
 //    handoff; a stale node is healed mid-search by a map push; a
 //    coordinator behind the fleet gets a typed error.
 //  - The chaos drill: node added AND node killed mid-query-stream, every
-//    result byte-identical to the single-node scan.
+//    result byte-identical to the single-node answer (one SearchEngine
+//    over a CloudServer loaded from the same store).
 //  - Hedged reads: a slow primary is raced against the next replica
 //    within the hedge budget; results stay byte-identical.
 //  - Edge auth LRU: hit/miss/eviction counters, negatives never cached.
@@ -30,6 +31,8 @@
 #include <thread>
 #include <vector>
 
+#include "cloud/search_engine.h"
+#include "cloud/server.h"
 #include "cluster/coordinator.h"
 #include "cluster/health.h"
 #include "cluster/node.h"
@@ -113,6 +116,15 @@ HealthEnv& env() {
   static const TestDir dir("cluster-health-env");
   static HealthEnv* e = new HealthEnv(dir.path());
   return *e;
+}
+
+// The single-node answer: the path production serves, one SearchEngine
+// over a CloudServer loaded from the env's store.
+std::vector<std::string> single_node_search() {
+  CloudServer server(env().backend, env().verifier);
+  (void)server.load_from(*env().store);
+  return SearchEngine(server, {.threads = 1})
+      .search_batch_unchecked_any({&env().query, 1})[0];
 }
 
 struct Fleet {
@@ -326,7 +338,7 @@ TEST_F(ClusterHealthTest, HealthMonitorTracksKillAndRevive) {
 // --- coordinator + heartbeats ------------------------------------------------
 
 TEST_F(ClusterHealthTest, HeartbeatPreTripsDeadNodeAndRevivedNodeReturns) {
-  const std::vector<std::string> expected = env().store->search_any(env().query);
+  const std::vector<std::string> expected = single_node_search();
   Fleet f = start_fleet();
 
   CoordinatorOptions opts;
@@ -386,7 +398,7 @@ TEST_F(ClusterHealthTest, HeartbeatPreTripsDeadNodeAndRevivedNodeReturns) {
 // --- live reconfiguration ----------------------------------------------------
 
 TEST_F(ClusterHealthTest, ApplyMapAddsNodeWithGracefulHandoff) {
-  const std::vector<std::string> expected = env().store->search_any(env().query);
+  const std::vector<std::string> expected = single_node_search();
   Fleet f = start_fleet();
   Coordinator coord(env().backend, env().verifier, f.map);
   ASSERT_EQ(coord.search_any(env().query), expected);
@@ -416,7 +428,7 @@ TEST_F(ClusterHealthTest, ApplyMapAddsNodeWithGracefulHandoff) {
 }
 
 TEST_F(ClusterHealthTest, StaleNodesHealedMidSearchByMapPush) {
-  const std::vector<std::string> expected = env().store->search_any(env().query);
+  const std::vector<std::string> expected = single_node_search();
   Fleet f = start_fleet();
 
   // A coordinator born with v2 of the same member list, while every node
@@ -466,8 +478,7 @@ TEST_F(ClusterHealthTest, CoordinatorBehindTheFleetSurfacesTypedError) {
 
   // Handing it the fleet's map heals it.
   coord.apply_map(v3);
-  EXPECT_EQ(coord.search_any(env().query),
-            env().store->search_any(env().query));
+  EXPECT_EQ(coord.search_any(env().query), single_node_search());
 
   for (auto& node : f.nodes) node->stop();
 }
@@ -477,7 +488,7 @@ TEST_F(ClusterHealthTest, CoordinatorBehindTheFleetSurfacesTypedError) {
 // Node added AND node killed mid-query-stream: every answer byte-identical
 // to the single-node scan, zero fabricated or dropped shards.
 TEST_F(ClusterHealthTest, ChaosDrillLiveRebalanceUnderQueryStream) {
-  const std::vector<std::string> expected = env().store->search_any(env().query);
+  const std::vector<std::string> expected = single_node_search();
   Fleet f = start_fleet();
 
   CoordinatorOptions opts;
@@ -508,7 +519,7 @@ TEST_F(ClusterHealthTest, ChaosDrillLiveRebalanceUnderQueryStream) {
 // --- hedged reads ------------------------------------------------------------
 
 TEST_F(ClusterHealthTest, HedgedReadRacesSlowPrimaryWithinBudget) {
-  const std::vector<std::string> expected = env().store->search_any(env().query);
+  const std::vector<std::string> expected = single_node_search();
   Fleet f = start_fleet();
 
   CoordinatorOptions opts;
@@ -556,7 +567,7 @@ TEST_F(ClusterHealthTest, HedgedReadRacesSlowPrimaryWithinBudget) {
 // --- edge auth LRU -----------------------------------------------------------
 
 TEST_F(ClusterHealthTest, AuthCacheMemoizesVerifiedQueriesAndEvicts) {
-  const std::vector<std::string> expected = env().store->search_any(env().query);
+  const std::vector<std::string> expected = single_node_search();
   Fleet f = start_fleet();
 
   CoordinatorOptions opts;

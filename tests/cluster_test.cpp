@@ -8,9 +8,11 @@
 //    modulo, random, adversarial — k-way merges back to the exact upload
 //    order (the byte-identity invariant the coordinator relies on).
 //  - Loopback equivalence: a 3-node / R=2 cluster over a real ShardedStore
-//    returns byte-identical doc_refs and equivalent scanned/matched
-//    stats to the single-node ShardedStore::search_any scan, for all
-//    three schemes (APKS, APKS+, MRQED^D).
+//    returns byte-identical doc_refs and equal scanned/matched stats to
+//    the single-node answer (one SearchEngine over a CloudServer loaded
+//    from the same store), for all three schemes (APKS, APKS+, MRQED^D).
+//  - Loading: a node decodes only the store shards it is assigned, at
+//    start and on a map update.
 //  - Failover: a killed node's shards are served by their replicas; the
 //    result stays byte-identical and the breaker/retry stats say why.
 //  - Refusals: a node refuses stale-map and unowned-shard RPCs and a
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -30,6 +33,8 @@
 #include <vector>
 
 #include "cloud/proxy.h"
+#include "cloud/search_engine.h"
+#include "cloud/server.h"
 #include "cluster/coordinator.h"
 #include "cluster/node.h"
 #include "cluster/placement.h"
@@ -169,6 +174,21 @@ ClusterEnv& env() {
   static const TestDir dir("cluster-env");
   static ClusterEnv* e = new ClusterEnv(dir.path());
   return *e;
+}
+
+// The single-node answer: the path production serves, one SearchEngine
+// over a CloudServer loaded from the rig's store (search_engine_test pins
+// that engine to a per-record Apks::search oracle).
+std::vector<std::string> single_node_search(const SchemeRig& rig,
+                                            ServerMetrics* metrics = nullptr) {
+  CloudServer server(*rig.backend, env().verifier);
+  (void)server.load_from(*rig.store);
+  BatchMetrics batch;
+  std::vector<std::string> refs =
+      SearchEngine(server, {.threads = 1})
+          .search_batch_unchecked_any({&rig.query, 1}, &batch)[0];
+  if (metrics != nullptr) *metrics = batch.per_query[0];
+  return refs;
 }
 
 // A running 3-node loopback cluster plus the map (with bound ports) a
@@ -332,10 +352,8 @@ TEST_F(ClusterTest, MergeRestoresUploadOrderForArbitraryPartitions) {
 // --- loopback cluster equivalence -------------------------------------------
 
 void expect_cluster_equivalent(const SchemeRig& rig) {
-  // Single-node ground truth: the direct disk scan.
-  StoreScanStats local;
-  const std::vector<std::string> expected =
-      rig.store->search_any(rig.query, 1, &local);
+  ServerMetrics local;
+  const std::vector<std::string> expected = single_node_search(rig, &local);
   ASSERT_FALSE(expected.empty());
 
   Cluster c = start_cluster(rig);
@@ -376,7 +394,7 @@ TEST_F(ClusterTest, MrqedClusterMatchesSingleNodeByteForByte) {
 
 TEST_F(ClusterTest, SignedQueryAuthenticatesOnceAtTheEdge) {
   const SchemeRig& rig = env().apks_rig;
-  const std::vector<std::string> expected = rig.store->search_any(rig.query);
+  const std::vector<std::string> expected = single_node_search(rig);
 
   Cluster c = start_cluster(rig);
   Coordinator coord(*rig.backend, env().verifier, c.map);
@@ -400,7 +418,7 @@ TEST_F(ClusterTest, SignedQueryAuthenticatesOnceAtTheEdge) {
 
 TEST_F(ClusterTest, KilledNodeFailsOverToReplicas) {
   const SchemeRig& rig = env().apks_rig;
-  const std::vector<std::string> expected = rig.store->search_any(rig.query);
+  const std::vector<std::string> expected = single_node_search(rig);
 
   Cluster c = start_cluster(rig);  // R=2: every shard has a standby
   Coordinator coord(*rig.backend, env().verifier, c.map);
@@ -527,18 +545,125 @@ TEST_F(ClusterTest, NodePreparesEachCapabilityOnceAcrossItsShards) {
   ASSERT_EQ(second.status, WireStatus::kOk) << second.message;
   std::vector<std::string> refs;
   for (const net::ShardHit& hit : second.hits) refs.push_back(hit.ref);
-  EXPECT_EQ(refs, rig.store->search_any(rig.query));
+  EXPECT_EQ(refs, single_node_search(rig));
   EXPECT_EQ(engine()->cache_misses(), 1u);
   EXPECT_EQ(engine()->cache_size(), 1u);
 
   for (auto& n : c.nodes) n->stop();
 }
 
+// Forwards to a scheme backend and counts decode_index calls: the number
+// of store records decoded through it.
+class DecodeCountingBackend final : public SearchBackend {
+ public:
+  explicit DecodeCountingBackend(const SearchBackend& inner)
+      : SearchBackend(inner.context()), inner_(&inner) {}
+
+  [[nodiscard]] std::size_t decodes() const { return decodes_.load(); }
+
+  [[nodiscard]] SchemeKind kind() const noexcept override {
+    return inner_->kind();
+  }
+  [[nodiscard]] std::vector<std::uint8_t> encode_index(
+      const AnyIndex& index) const override {
+    return inner_->encode_index(index);
+  }
+  [[nodiscard]] AnyIndex decode_index(
+      std::span<const std::uint8_t> data) const override {
+    decodes_.fetch_add(1);
+    return inner_->decode_index(data);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> encode_query(
+      const AnyQuery& query) const override {
+    return inner_->encode_query(query);
+  }
+  [[nodiscard]] AnyQuery decode_query(
+      std::span<const std::uint8_t> data) const override {
+    return inner_->decode_query(data);
+  }
+  [[nodiscard]] QueryDigest digest(const AnyQuery& query) const override {
+    return inner_->digest(query);
+  }
+  [[nodiscard]] AnyPrepared prepare(const AnyQuery& query) const override {
+    return inner_->prepare(query);
+  }
+  [[nodiscard]] bool match(const AnyPrepared& prepared,
+                           const AnyIndex& index) const override {
+    return inner_->match(prepared, index);
+  }
+  void match_block(const AnyPrepared& prepared,
+                   const AnyIndex* const* indexes, std::size_t n,
+                   bool* out) const override {
+    inner_->match_block(prepared, indexes, n, out);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> query_message(
+      const AnyQuery& query, const std::string& issuer) const override {
+    return inner_->query_message(query, issuer);
+  }
+
+ private:
+  const SearchBackend* inner_;
+  mutable std::atomic<std::size_t> decodes_{0};
+};
+
+// A node decodes the records of the shards it loads and no others: at
+// start, exactly its owned shards'; on a map update, exactly the newly
+// assigned shards' (still-owned shards keep their engines).
+TEST_F(ClusterTest, NodeDecodesOnlyTheShardsItLoads) {
+  const SchemeRig& rig = env().apks_rig;
+  rig.store->flush();
+  const TestDir dir("cluster-decodes");
+  fs::copy(rig.store->dir(), dir.path(), fs::copy_options::recursive);
+  DecodeCountingBackend backend(*rig.backend);
+  ShardedStore store(backend, dir.path());
+
+  std::vector<std::size_t> per_shard(kShards, 0);
+  for (const StoredAnyRecord& rec : rig.store->load_all_any()) {
+    ++per_shard[rec.id % kShards];
+  }
+  const auto records_of = [&](const std::vector<std::uint32_t>& shards) {
+    std::size_t n = 0;
+    for (const std::uint32_t shard : shards) n += per_shard[shard];
+    return n;
+  };
+
+  const std::vector<NodeInfo> infos = {{"node-a", "127.0.0.1", 0},
+                                       {"node-b", "127.0.0.1", 0},
+                                       {"node-c", "127.0.0.1", 0}};
+  const ClusterMap map(infos, kShards, 2, 1);
+  std::uint32_t index = 0;
+  while (map.shards_of(index).size() == kShards) ++index;
+  const std::vector<std::uint32_t> owned = map.shards_of(index);
+  ASSERT_FALSE(owned.empty());
+
+  ClusterNodeOptions opts;
+  opts.engine.threads = 1;
+  opts.net.allow_unchecked = true;
+  const std::size_t before = backend.decodes();
+  ClusterNode node(backend, env().verifier, store, map, index, opts);
+  EXPECT_EQ(node.owned_shards(), owned);
+  EXPECT_EQ(backend.decodes() - before, records_of(owned));
+  EXPECT_EQ(node.record_count(), records_of(owned));
+
+  // R = 3 over 3 nodes: the node now owns every shard.
+  std::vector<std::uint32_t> added;
+  for (std::uint32_t shard = 0; shard < kShards; ++shard) {
+    if (std::find(owned.begin(), owned.end(), shard) == owned.end()) {
+      added.push_back(shard);
+    }
+  }
+  const std::size_t at_start = backend.decodes();
+  node.apply_map(ClusterMap(infos, kShards, 3, 2));
+  EXPECT_EQ(backend.decodes() - at_start, records_of(added));
+  EXPECT_EQ(node.record_count(), rig.store->record_count());
+  node.stop();
+}
+
 // --- chaos -------------------------------------------------------------------
 
 TEST_F(ClusterTest, ClusterChaosMidBatchNodeFaultFailsOver) {
   const SchemeRig& rig = env().apks_rig;
-  const std::vector<std::string> expected = rig.store->search_any(rig.query);
+  const std::vector<std::string> expected = single_node_search(rig);
 
   Cluster c = start_cluster(rig);
   Coordinator coord(*rig.backend, env().verifier, c.map);
@@ -564,7 +689,7 @@ TEST_F(ClusterTest, ClusterChaosMidBatchNodeFaultFailsOver) {
 
 TEST_F(ClusterTest, ClusterChaosScatterFaultFailsOver) {
   const SchemeRig& rig = env().apks_rig;
-  const std::vector<std::string> expected = rig.store->search_any(rig.query);
+  const std::vector<std::string> expected = single_node_search(rig);
 
   Cluster c = start_cluster(rig);
   Coordinator coord(*rig.backend, env().verifier, c.map);
@@ -585,7 +710,7 @@ TEST_F(ClusterTest, ClusterChaosScatterFaultFailsOver) {
 
 TEST_F(ClusterTest, ClusterChaosSlowReplicaHonoursPartialDeadline) {
   const SchemeRig& rig = env().apks_rig;
-  const std::vector<std::string> expected = rig.store->search_any(rig.query);
+  const std::vector<std::string> expected = single_node_search(rig);
 
   Cluster c = start_cluster(rig);
   Coordinator coord(*rig.backend, env().verifier, c.map);
@@ -680,14 +805,14 @@ TEST_F(ClusterTest, ClusterChaosStaleMapSurfacesTypedError) {
 
   // Disarm: the same coordinator heals immediately.
   Failpoints::instance().clear_all();
-  EXPECT_EQ(coord.search_any(rig.query), rig.store->search_any(rig.query));
+  EXPECT_EQ(coord.search_any(rig.query), single_node_search(rig));
 
   for (auto& node : c.nodes) node->stop();
 }
 
 TEST_F(ClusterTest, ClusterChaosBreakerSkipsRepeatedlyDeadNode) {
   const SchemeRig& rig = env().apks_rig;
-  const std::vector<std::string> expected = rig.store->search_any(rig.query);
+  const std::vector<std::string> expected = single_node_search(rig);
 
   Cluster c = start_cluster(rig);
   CoordinatorOptions opts;

@@ -162,9 +162,10 @@ TEST_F(StoreDirTest, IndexStoreRotationAndReopen) {
   EXPECT_EQ(reopened.record_count(), 40u);
   EXPECT_FALSE(reopened.recovery().torn_tail);
   std::vector<std::string> replayed;
-  reopened.for_each([&](std::span<const std::uint8_t> p) {
-    replayed.emplace_back(p.begin(), p.end());
-  });
+  reopened.for_each(
+      [&](std::span<const std::uint8_t> p, const SegmentId&, bool) {
+        replayed.emplace_back(p.begin(), p.end());
+      });
   EXPECT_EQ(replayed, written);
 
   // Shard id mismatch is refused (a store directory is not relabelable).
@@ -190,9 +191,10 @@ TEST_F(StoreDirTest, IndexStoreCompactCollapsesChain) {
   EXPECT_EQ(store.segment_count(), 2u);
   EXPECT_EQ(store.record_count(), 25u);
   std::vector<std::string> replayed;
-  store.for_each([&](std::span<const std::uint8_t> p) {
-    replayed.emplace_back(p.begin(), p.end());
-  });
+  store.for_each(
+      [&](std::span<const std::uint8_t> p, const SegmentId&, bool) {
+        replayed.emplace_back(p.begin(), p.end());
+      });
   EXPECT_EQ(replayed, written);
 
   // Old segment files are gone; a reopen agrees with the live object.
@@ -327,34 +329,6 @@ TEST_F(ShardedStoreTest, AppendReloadPreservesOrderAndBytes) {
   }
 }
 
-TEST_F(ShardedStoreTest, DiskSearchMatchesInMemoryServer) {
-  CloudServer server(scheme_, CapabilityVerifier(e_, IbsPublicParams{}));
-  ShardedStore store(backend_, dir_.path(), small_segments());
-  server.attach_store(&store);
-  for (int i = 0; i < 12; ++i) {
-    const bool match = i % 3 == 0;
-    (void)server.store(
-        scheme_.gen_index(pk_, PlainIndex{{match ? "x" : "n", "y"}}, rng_),
-        "doc-" + std::to_string(i));
-  }
-  store.sync();
-  const Capability cap = scheme_.gen_cap(
-      msk_, Query{{QueryTerm::equals("x"), QueryTerm::any()}}, rng_);
-
-  BatchMetrics mem_metrics;
-  const auto mem = SearchEngine(server, {.threads = 1})
-                       .search_batch_unchecked({&cap, 1}, &mem_metrics)[0];
-  const ServerMetrics& mem_stats = mem_metrics.per_query[0];
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    StoreScanStats disk_stats;
-    const auto disk = store.search_any(AnyQuery::ref(SchemeKind::kApks, &cap),
-                                       threads, &disk_stats);
-    EXPECT_EQ(disk, mem) << threads << " threads";
-    EXPECT_EQ(disk_stats.scanned, mem_stats.scanned);
-    EXPECT_EQ(disk_stats.matched, mem_stats.matched);
-  }
-}
-
 TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
   // Populate a server with write-through persistence...
   auto verifier = [&] {
@@ -480,6 +454,31 @@ TEST_F(ShardedStoreTest, StoreMetaRefusalsAreTyped) {
   write(good);
   ShardedStore store(backend_, dir_.path(), small_segments());
   EXPECT_EQ(store.shard_count(), 3u);
+}
+
+// A frame whose CRC verifies but whose record head does not parse is no
+// torn tail: reopening refuses it with StoreError(kCorrupt) naming the
+// shard directory that holds it.
+TEST_F(ShardedStoreTest, UnparseableRecordHeadIsTypedCorrupt) {
+  { ShardedStore store(backend_, dir_.path(), small_segments()); }
+  const fs::path shard = dir_.path() / "shard-001";
+  {
+    SegmentWriter w =
+        SegmentWriter::open_for_append(shard / "seg-00000001.apks", nullptr);
+    const std::uint8_t truncated_id[4] = {1, 0, 0, 0};  // u64 id cut short
+    w.append(truncated_id);
+    w.close();
+  }
+  try {
+    ShardedStore store(backend_, dir_.path(), small_segments());
+    ADD_FAILURE() << "unparseable record head accepted";
+  } catch (const StoreError& ex) {
+    EXPECT_EQ(ex.code(), ErrorCode::kCorrupt);
+    EXPECT_EQ(fs::path(ex.path()), shard);
+    EXPECT_NE(std::string(ex.what()).find("store record corrupt"),
+              std::string::npos)
+        << ex.what();
+  }
 }
 
 class DocStoreTest : public StoreDirTest {};

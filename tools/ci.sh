@@ -79,8 +79,9 @@ if [[ $STAGE == all ]]; then
 
   echo "=== tier-1: one server scan ==="
   # Search lives only in SearchEngine: one scan_block failpoint site in
-  # src/, and CloudServer (the record set) neither spawns threads nor
-  # matches records itself.
+  # src/ and no other failpoint site named for a scan, and neither
+  # CloudServer (the record set) nor src/store/ (the record source)
+  # spawns threads or prepares and matches queries itself.
   scan_sites=$(grep -rn 'failpoint("[A-Za-z_.]*scan_block")' src | wc -l)
   if (( scan_sites > 1 )); then
     echo "src/ has $scan_sites scan_block failpoint sites (want one):"
@@ -91,6 +92,19 @@ if [[ $STAGE == all ]]; then
        src/cloud/server.h src/cloud/server.cpp; then
     echo "src/cloud/server.{h,cpp} scans records; searching belongs to" \
          "SearchEngine"
+    exit 1
+  fi
+  scan_named=$(grep -rhoE \
+    'failpoint\("[^"]*scan[^"]*"\)|kSite[A-Za-z]* = "[^"]*scan[^"]*"' src |
+    grep -vFx 'failpoint("engine.scan_block")' || true)
+  if [[ -n "$scan_named" ]]; then
+    echo "src/ has a scan failpoint site other than engine.scan_block:"
+    echo "$scan_named"
+    exit 1
+  fi
+  if grep -rnE '#include <thread>|\b(prepare|match|match_block)\(' \
+       src/store; then
+    echo "src/store/ searches records; searching belongs to SearchEngine"
     exit 1
   fi
 
