@@ -78,17 +78,23 @@ int main() {
     const std::vector<SignedCapability> batch =
         hot_only ? std::vector<SignedCapability>(kQ, hot) : mixed;
     const char* label = hot_only ? "hot-key (Q identical)" : "mixed";
+    const std::vector<SignedQuery> queries =
+        borrow_capabilities(server.backend(), batch);
 
     // Baseline: Q independent verified single-query searches on one worker
     // with no prepared cache (Q prepares by design).
     const SearchEngine single(server, {.threads = 1, .cache_capacity = 0});
     const PairingOpCounts seq_c0 = pairing.op_counts();
     std::vector<std::vector<std::string>> seq;
-    for (const auto& cap : batch) seq.push_back(single.search(cap));
+    for (const SignedQuery& q : queries) {
+      seq.push_back(single.search_batch_signed({&q, 1})[0]);
+    }
     const PairingOpCounts seq_ops = pairing.op_counts() - seq_c0;
     const double seq_s = time_op(
         [&] {
-          for (const auto& cap : batch) (void)single.search(cap);
+          for (const SignedQuery& q : queries) {
+            (void)single.search_batch_signed({&q, 1});
+          }
         },
         300, 4);
 
@@ -97,10 +103,10 @@ int main() {
     // repeats then show the warm hot-key steady state.
     SearchEngine engine(server, {.threads = 2, .block_records = 4});
     BatchMetrics cold;
-    const auto results = engine.search_batch(batch, &cold);
+    const auto results = engine.search_batch_signed(queries, &cold);
     BatchMetrics warm;
-    const double batch_s =
-        time_op([&] { (void)engine.search_batch(batch, &warm); }, 300, 4);
+    const double batch_s = time_op(
+        [&] { (void)engine.search_batch_signed(queries, &warm); }, 300, 4);
 
     if (results != seq) {
       std::printf("FAIL: batch results differ from sequential searches\n");

@@ -58,11 +58,19 @@ bool same_results(const Results& a, const Results& b) {
   return true;
 }
 
+// One batch through the engine's admitted entry point.
+Results serve(const SearchEngine& engine, std::span<const AnyQuery> queries,
+              BatchMetrics* metrics = nullptr) {
+  SearchReply reply;
+  engine.serve_admitted({.queries = queries}, reply);
+  if (metrics != nullptr) *metrics = std::move(reply.metrics);
+  return std::move(reply.refs);
+}
+
 // The uncached ground truth: a fresh engine with no verdict cache.
 Results reference_results(const CloudServer& server,
-                          std::span<const Capability> caps) {
-  const SearchEngine plain(server);
-  return plain.search_batch_unchecked(caps);
+                          std::span<const AnyQuery> queries) {
+  return serve(SearchEngine(server), queries);
 }
 
 }  // namespace
@@ -90,6 +98,7 @@ int main(int argc, char** argv) {
       scheme.gen_cap(msk, nursery_worst_case_query(1, rng), rng),
       scheme.gen_cap(msk, nursery_worst_case_query(1, rng), rng),
   };
+  const std::vector<AnyQuery> queries = borrow_capabilities(backend, caps);
 
   const fs::path dir =
       fs::temp_directory_path() /
@@ -135,13 +144,13 @@ int main(int argc, char** argv) {
     vcache->invalidate(retired);
   });
 
-  const Results expect = reference_results(server, caps);
+  const Results expect = reference_results(server, queries);
 
   // --- Cold: first batch misses everywhere, runs the pairing scan, and
   // memoizes every (query, sealed segment) verdict.
   BatchMetrics cold_m;
   Timer cold_t;
-  const Results cold = engine.search_batch_unchecked(caps, &cold_m);
+  const Results cold = serve(engine, queries, &cold_m);
   const double cold_s = cold_t.seconds();
   if (!same_results(cold, expect)) {
     std::fprintf(stderr, "FAIL: cold cached batch != uncached reference\n");
@@ -162,7 +171,7 @@ int main(int argc, char** argv) {
   Results hot;
   for (std::size_t i = 0; i < kHotIters; ++i) {
     Timer t;
-    hot = engine.search_batch_unchecked(caps, &hot_m);
+    hot = serve(engine, queries, &hot_m);
     const double s = t.seconds();
     if (i == 0 || s < hot_s) hot_s = s;  // best of N (hot path, no warmup)
   }
@@ -199,8 +208,8 @@ int main(int argc, char** argv) {
   store->sync();
   (void)server.load_from(*store);
   {
-    const Results got = engine.search_batch_unchecked(caps);
-    const Results want = reference_results(server, caps);
+    const Results got = serve(engine, queries);
+    const Results want = reference_results(server, queries);
     const bool same = same_results(got, want);
     std::printf("after rotations: %s\n", same ? "identical" : "MISMATCH");
     report.add_row({{"phase", "equiv_rotate"}, {"identical", same ? 1 : 0}});
@@ -213,8 +222,8 @@ int main(int argc, char** argv) {
   (void)store->compact();
   (void)server.load_from(*store);
   {
-    const Results got = engine.search_batch_unchecked(caps);
-    const Results want = reference_results(server, caps);
+    const Results got = serve(engine, queries);
+    const Results want = reference_results(server, queries);
     const bool same = same_results(got, want);
     const VerdictCacheStats after = vcache->stats();
     std::printf("after compaction: %s (%" PRIu64 " verdicts invalidated)\n",
@@ -239,8 +248,8 @@ int main(int argc, char** argv) {
   {
     SearchEngine engine2(server2, eopts);  // same shared vcache
     BatchMetrics m2;
-    const Results got = engine2.search_batch_unchecked(caps, &m2);
-    const Results want = reference_results(server2, caps);
+    const Results got = serve(engine2, queries, &m2);
+    const Results want = reference_results(server2, queries);
     const bool same = same_results(got, want);
     std::printf("after crash-reopen: %s (%zu records served from the "
                 "surviving cache)\n",

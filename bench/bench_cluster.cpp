@@ -323,9 +323,10 @@ int main(int argc, char** argv) {
   // over a CloudServer loaded from the same store.
   CloudServer single(backend, CapabilityVerifier(pairing, IbsPublicParams{}));
   (void)single.load_from(store);
-  const std::vector<std::string> expected =
-      SearchEngine(single, {.threads = 1})
-          .search_batch_unchecked_any({&query, 1})[0];
+  SearchReply single_reply;
+  SearchEngine(single, {.threads = 1})
+      .serve_admitted({.queries = {&query, 1}}, single_reply);
+  const std::vector<std::string>& expected = single_reply.refs[0];
   std::printf("records: %zu across %u shards, %zu match the bench query\n",
               store.record_count(), store.shard_count(), expected.size());
 

@@ -251,6 +251,7 @@ int main(int argc, char** argv) {
   caps.push_back(
       plus.gen_cap(setup.msk, nursery_point_query(rows[739 % rows.size()]),
                    rng));
+  const std::vector<AnyQuery> queries = borrow_capabilities(backend, caps);
 
   SearchEngine::Options eng_opts;
   eng_opts.threads = 1;
@@ -268,12 +269,14 @@ int main(int argc, char** argv) {
     ServeControl ctl;
     ctl.deadline_ms = deadline_ms;
     ctl.partial_ok = partial_ok;
-    BatchMetrics bm;
+    SearchReply reply;
+    const BatchMetrics& bm = reply.metrics;
     Timer t;
     std::size_t results = 0;
     bool deadline_hit = false;
     try {
-      results = engine.search_batch_unchecked(caps, &bm, ctl)[0].size();
+      engine.serve_admitted({.queries = queries, .control = ctl}, reply);
+      results = reply.refs[0].size();
       deadline_hit = bm.deadline_exceeded;
     } catch (const DeadlineExceeded&) {
       deadline_hit = true;
@@ -303,7 +306,8 @@ int main(int argc, char** argv) {
   SearchEngine gated(server, strict_opts);
   std::atomic<bool> bg_done{false};
   std::thread bg([&] {
-    (void)gated.search_batch_unchecked(caps);
+    SearchReply reply;
+    gated.serve_admitted({.queries = queries}, reply);
     bg_done.store(true);
   });
   while (gated.inflight() == 0 && !bg_done.load()) {
@@ -311,7 +315,8 @@ int main(int argc, char** argv) {
   }
   std::size_t shed_seen = 0;
   try {
-    (void)gated.search_batch_unchecked(caps);
+    SearchReply reply;
+    gated.serve_admitted({.queries = queries}, reply);
   } catch (const Overloaded&) {
     shed_seen = 1;
   }

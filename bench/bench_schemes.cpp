@@ -90,8 +90,10 @@ void report_run(const SchemeRun& r, JsonReport& report) {
 void serve_batch(const CloudServer& server, std::span<const AnyQuery> queries,
                  std::size_t threads, SchemeRun& run) {
   const SearchEngine engine(server, {.threads = threads});
-  BatchMetrics metrics;
-  const auto results = engine.search_batch_unchecked_any(queries, &metrics);
+  SearchReply reply;
+  engine.serve_admitted({.queries = queries}, reply);
+  const auto& results = reply.refs;
+  const BatchMetrics& metrics = reply.metrics;
   run.batch_wall_s = metrics.wall_s;
   run.records = metrics.records;
   run.queries = metrics.queries;

@@ -121,8 +121,12 @@ int main(int argc, char** argv) {
   // SearchEngine on one worker with the prepared cache off, so every call
   // prepares the worst-case query afresh.
   const SearchEngine engine(server, {.threads = 1, .cache_capacity = 0});
+  const AnyQuery query = borrow_capability(backend, cap);
   const double mem_s = time_op_median(
-      [&] { (void)engine.search_batch_unchecked({&cap, 1}); },
+      [&] {
+        SearchReply reply;
+        engine.serve_admitted({.queries = {&query, 1}}, reply);
+      },
       args.smoke ? 200 : 500, args.smoke ? 3 : 8);
   std::printf("scan in-memory: %.4f s\n", mem_s);
   report.add_row({{"phase", "scan_memory"}, {"seconds", mem_s}});

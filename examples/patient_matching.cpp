@@ -79,7 +79,8 @@ int main() {
   std::printf("ann's matching capability issued (level %zu)\n",
               cap->cap.key.level);
 
-  const auto matches = SearchEngine(server).search(*cap);
+  const auto matches = SearchEngine(server).search_batch_signed(
+      borrow_capabilities(server.backend(), {&*cap, 1}))[0];
   std::printf("matches (%zu):\n", matches.size());
   for (const auto& m : matches) std::printf("  %s\n", m.c_str());
   // Expected: patient-1 and patient-2. Patient-3 has a different illness;

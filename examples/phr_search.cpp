@@ -73,8 +73,10 @@ int main() {
               cap->cap.key.level);
 
   const SearchEngine engine(server);
-  ServerMetrics stats;
-  const auto docs = engine.search(*cap, &stats);
+  BatchMetrics metrics;
+  const auto docs = engine.search_batch_signed(
+      borrow_capabilities(server.backend(), {&*cap, 1}), &metrics)[0];
+  const ServerMetrics& stats = metrics.per_query[0];
   std::printf("server scanned %zu records, %zu matched:\n", stats.scanned,
               stats.matched);
   for (const auto& d : docs) std::printf("  %s\n", d.c_str());
@@ -92,9 +94,10 @@ int main() {
   // --- A forged capability is refused at the server ------------------------
   auto forged = *cap;
   forged.issuer = "hospital-Z";
-  ServerMetrics forged_stats;
-  (void)engine.search(forged, &forged_stats);
+  BatchMetrics forged_metrics;
+  (void)engine.search_batch_signed(
+      borrow_capabilities(server.backend(), {&forged, 1}), &forged_metrics);
   std::printf("forged capability authorized? %s (expect no)\n",
-              forged_stats.authorized ? "yes" : "no");
+              forged_metrics.per_query[0].authorized ? "yes" : "no");
   return 0;
 }

@@ -56,7 +56,8 @@ int main() {
   const Query q = parse_query(scheme.schema(),
                               "age : 34-100 @ 2; illness = diabetes");
   const auto cap = ta.issue(q, rng);
-  const auto refs = SearchEngine(server).search(cap);
+  const auto refs = SearchEngine(server).search_batch_signed(
+      borrow_capabilities(server.backend(), {&cap, 1}))[0];
   std::printf("search [%s] -> %zu refs\n",
               format_query(scheme.schema(), q).c_str(), refs.size());
 

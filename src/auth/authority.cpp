@@ -1,5 +1,7 @@
 #include "auth/authority.h"
 
+#include <stdexcept>
+
 #include "core/serialize_apks.h"
 
 namespace apks {
@@ -142,6 +144,36 @@ std::unique_ptr<LocalAuthority> LocalAuthority::make_sub_lta(
   IbsSigningKey key = ta_->ibs_.extract(ta_->ibs_msk_, name);
   return std::unique_ptr<LocalAuthority>(
       new LocalAuthority(*ta_, name, std::move(sub_root), std::move(key)));
+}
+
+AnyQuery borrow_capability(const SearchBackend& backend,
+                           const Capability& cap) {
+  if (backend.kind() != SchemeKind::kApks &&
+      backend.kind() != SchemeKind::kApksPlus) {
+    throw std::invalid_argument("typed APKS capability on a '" +
+                                std::string(backend.name()) + "' backend");
+  }
+  return AnyQuery::ref(backend.kind(), &cap);
+}
+
+std::vector<AnyQuery> borrow_capabilities(const SearchBackend& backend,
+                                          std::span<const Capability> caps) {
+  std::vector<AnyQuery> out;
+  out.reserve(caps.size());
+  for (const Capability& cap : caps) {
+    out.push_back(borrow_capability(backend, cap));
+  }
+  return out;
+}
+
+std::vector<SignedQuery> borrow_capabilities(
+    const SearchBackend& backend, std::span<const SignedCapability> caps) {
+  std::vector<SignedQuery> out;
+  out.reserve(caps.size());
+  for (const SignedCapability& cap : caps) {
+    out.push_back({borrow_capability(backend, cap.cap), cap.issuer, cap.sig});
+  }
+  return out;
 }
 
 bool CapabilityVerifier::verify(const SignedCapability& cap) const {

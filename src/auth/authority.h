@@ -14,7 +14,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "auth/ibs.h"
 #include "auth/policy.h"
@@ -41,6 +43,17 @@ struct SignedQuery {
   std::string issuer;
   IbsSignature sig;  // over backend.query_message(query, issuer)
 };
+
+// Typed APKS capabilities as the scheme-agnostic queries SearchEngine
+// serves, for an APKS-family `backend` (any other backend throws
+// std::invalid_argument). The handles borrow `caps`, which must outlive
+// them. A borrowed SignedCapability keeps its issuer and signature bytes.
+[[nodiscard]] AnyQuery borrow_capability(const SearchBackend& backend,
+                                         const Capability& cap);
+[[nodiscard]] std::vector<AnyQuery> borrow_capabilities(
+    const SearchBackend& backend, std::span<const Capability> caps);
+[[nodiscard]] std::vector<SignedQuery> borrow_capabilities(
+    const SearchBackend& backend, std::span<const SignedCapability> caps);
 
 // Attribute values a user possesses, per original schema dimension name.
 // A user may hold several values in one dimension (e.g. two illnesses).

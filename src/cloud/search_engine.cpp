@@ -62,110 +62,62 @@ struct InflightGuard {
   std::atomic<std::size_t>* counter_;
 };
 
-// Wraps a typed APKS capability for the scan path; throws for non-APKS
-// backends. The handle borrows `cap`, so it lives only as long as the call.
-AnyQuery borrow_capability(const SearchBackend& backend,
-                           const Capability& cap) {
-  if (backend.kind() != SchemeKind::kApks &&
-      backend.kind() != SchemeKind::kApksPlus) {
-    throw std::invalid_argument("SearchEngine: typed APKS capability on a '" +
-                                std::string(backend.name()) + "' backend");
-  }
-  return AnyQuery::ref(backend.kind(), &cap);
-}
-
 }  // namespace
-
-std::vector<std::vector<std::string>> SearchEngine::search_batch(
-    std::span<const SignedCapability> caps, BatchMetrics* metrics,
-    const ServeControl& control) const {
-  const SearchBackend& backend = server_->backend();
-  std::vector<AnyQuery> raw(caps.size());
-  std::vector<char> serve(caps.size());
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    raw[i] = borrow_capability(backend, caps[i].cap);
-    serve[i] = server_->verifier().verify(caps[i]) ? 1 : 0;
-  }
-  return run_batch(raw, serve, /*checked=*/true, metrics, control);
-}
 
 std::vector<std::vector<std::string>> SearchEngine::search_batch_signed(
     std::span<const SignedQuery> queries, BatchMetrics* metrics,
     const ServeControl& control) const {
-  const SearchBackend& backend = server_->backend();
-  std::vector<AnyQuery> raw(queries.size());
-  std::vector<char> serve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    raw[i] = queries[i].query;
-    serve[i] = server_->verifier().verify(backend, queries[i]) ? 1 : 0;
-  }
-  return run_batch(raw, serve, /*checked=*/true, metrics, control);
+  std::vector<AnyQuery> raw;
+  raw.reserve(queries.size());
+  for (const SignedQuery& q : queries) raw.push_back(q.query);
+  SearchReply reply;
+  run_batch({.queries = raw, .control = control}, queries, reply);
+  finish(control, reply, metrics);
+  return std::move(reply.refs);
 }
 
-std::vector<std::vector<std::string>> SearchEngine::search_batch_unchecked(
-    std::span<const Capability> caps, BatchMetrics* metrics,
-    const ServeControl& control) const {
-  std::vector<AnyQuery> raw(caps.size());
-  const std::vector<char> serve(caps.size(), 1);
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    raw[i] = borrow_capability(server_->backend(), caps[i]);
-  }
-  return run_batch(raw, serve, /*checked=*/false, metrics, control);
+void SearchEngine::serve_admitted(const SearchRequest& request,
+                                  SearchReply& reply) const {
+  run_batch(request, /*signed_queries=*/{}, reply);
+  finish(request.control, reply, /*metrics=*/nullptr);
 }
 
 std::vector<std::vector<std::string>> SearchEngine::search_batch_unchecked_any(
     std::span<const AnyQuery> queries, BatchMetrics* metrics,
-    const ServeControl& control, std::span<const QueryDigest> digests) const {
-  const std::vector<char> serve(queries.size(), 1);
-  return run_batch(queries, serve, /*checked=*/false, metrics, control,
-                   /*match_ids=*/nullptr, digests);
+    const ServeControl& control) const {
+  SearchReply reply;  // partial mode: `control` throws after the publish
+  serve_admitted({queries, {}, {control.deadline_ms, control.cancel, true}},
+                 reply);
+  finish(control, reply, metrics);
+  return std::move(reply.refs);
 }
 
-std::vector<std::vector<std::string>>
-SearchEngine::search_batch_unchecked_any_ids(
-    std::span<const AnyQuery> queries,
-    std::vector<std::vector<std::uint64_t>>* match_ids, BatchMetrics* metrics,
-    const ServeControl& control, std::span<const QueryDigest> digests) const {
-  const std::vector<char> serve(queries.size(), 1);
-  return run_batch(queries, serve, /*checked=*/false, metrics, control,
-                   match_ids, digests);
-}
-
-std::vector<std::string> SearchEngine::search(const SignedCapability& cap,
-                                              ServerMetrics* metrics,
-                                              const ServeControl& control)
-    const {
-  // A stopped batch fills its metrics before it throws; pass them on then
-  // too. A shed batch throws before it has any.
-  BatchMetrics batch;
-  const auto copy_metrics = [&] {
-    if (metrics != nullptr && !batch.per_query.empty()) {
-      *metrics = batch.per_query[0];
-    }
-  };
-  try {
-    auto out = search_batch({&cap, 1}, &batch, control);
-    copy_metrics();
-    return std::move(out[0]);
-  } catch (...) {
-    copy_metrics();
-    throw;
+void SearchEngine::finish(const ServeControl& control, const SearchReply& reply,
+                          BatchMetrics* metrics) const {
+  if (metrics != nullptr) *metrics = reply.metrics;
+  if (control.partial_ok) return;
+  if (reply.metrics.cancelled) {
+    throw ServingError(ErrorCode::kCancelled,
+                       "batch cancelled at a block boundary");
+  }
+  if (reply.metrics.deadline_exceeded) {
+    const std::uint64_t deadline_ms =
+        control.deadline_ms != 0 ? control.deadline_ms : options_.deadline_ms;
+    throw DeadlineExceeded("batch deadline (" + std::to_string(deadline_ms) +
+                           " ms) exceeded at a block boundary");
   }
 }
 
-std::vector<std::vector<std::string>> SearchEngine::run_batch(
-    std::span<const AnyQuery> queries, std::span<const char> serve,
-    bool checked, BatchMetrics* metrics, const ServeControl& control,
-    std::vector<std::vector<std::uint64_t>>* match_ids,
-    std::span<const QueryDigest> supplied_digests) const {
-  if (!supplied_digests.empty() && supplied_digests.size() != queries.size()) {
+void SearchEngine::run_batch(const SearchRequest& request,
+                             std::span<const SignedQuery> signed_queries,
+                             SearchReply& reply) const {
+  const std::span<const AnyQuery> queries = request.queries;
+  const ServeControl& control = request.control;
+  if (!request.digests.empty() && request.digests.size() != queries.size()) {
     throw std::invalid_argument("search batch: " +
-                                std::to_string(supplied_digests.size()) +
+                                std::to_string(request.digests.size()) +
                                 " digests for " +
                                 std::to_string(queries.size()) + " queries");
-  }
-  if (match_ids != nullptr) {
-    match_ids->assign(queries.size(), {});
   }
   const SearchBackend& backend = server_->backend();
   const Pairing& pairing = backend.pairing();
@@ -179,6 +131,13 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     throw Overloaded("search engine overloaded: " +
                      std::to_string(now_inflight) + " batches in flight, limit " +
                      std::to_string(options_.max_inflight));
+  }
+
+  // Authorization: an admitted batch verifies its signatures, if any.
+  const bool checked = !signed_queries.empty();
+  std::vector<char> serve(queries.size(), 1);
+  for (std::size_t i = 0; i < signed_queries.size(); ++i) {
+    serve[i] = server_->verifier().verify(backend, signed_queries[i]) ? 1 : 0;
   }
 
   const std::uint64_t deadline_ms =
@@ -222,10 +181,10 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     if (should_stop()) break;     // deadline blew during preprocessing
     const auto t0 = Clock::now();
     const PairingOpCounts c0 = pairing.op_counts();
-    if (supplied_digests.empty()) {
+    if (request.digests.empty()) {
       digests[i] = backend.digest(queries[i]);
     } else {
-      digests[i] = supplied_digests[i];
+      digests[i] = request.digests[i];
       assert(digests[i] == backend.digest(queries[i]));
     }
     AnyPrepared entry = cache_->get(digests[i]);
@@ -243,6 +202,8 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
 
   // --- Phase 2: one blocked pass over the store for the whole batch. -----
   std::vector<std::vector<std::string>> results(queries.size());
+  std::vector<std::vector<std::uint64_t>> match_ids(
+      request.want_ids ? queries.size() : 0);
   if (!active.empty()) {
     std::shared_lock lock(server_->mutex_);
     const auto& records = server_->records_;
@@ -466,8 +427,8 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
         if (hits[q][r] != 0) {
           ++m.matched;
           out.push_back(records[r].doc_ref);
-          if (match_ids != nullptr) {
-            (*match_ids)[active[q]].push_back(records[r].id);
+          if (request.want_ids) {
+            match_ids[active[q]].push_back(records[r].id);
           }
         }
       }
@@ -488,7 +449,9 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
   }
 
   const int outcome = stop.load(std::memory_order_relaxed);
-  if (outcome != kRun) {
+  if (outcome == kRun) {
+    bump_counter(&EngineCounters::served);
+  } else {
     bm.deadline_exceeded = outcome == kStopDeadline;
     bm.cancelled = outcome == kStopCancelled;
     // Every served query carries the outcome, including one stopped
@@ -500,20 +463,10 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     }
     bump_counter(outcome == kStopDeadline ? &EngineCounters::deadline_exceeded
                                           : &EngineCounters::cancelled);
-    if (metrics != nullptr) *metrics = bm;
-    if (!control.partial_ok) {
-      if (outcome == kStopCancelled) {
-        throw ServingError(ErrorCode::kCancelled,
-                           "batch cancelled at a block boundary");
-      }
-      throw DeadlineExceeded("batch deadline (" + std::to_string(deadline_ms) +
-                             " ms) exceeded at a block boundary");
-    }
-    return results;
   }
-  bump_counter(&EngineCounters::served);
-  if (metrics != nullptr) *metrics = std::move(bm);
-  return results;
+  reply.refs = std::move(results);
+  reply.ids = std::move(match_ids);
+  reply.metrics = std::move(bm);
 }
 
 }  // namespace apks

@@ -3,11 +3,12 @@
 // The paper's search protocol is a per-capability linear scan (Sec. 5.2,
 // Fig. 6); under many concurrent users the server should amortize that scan
 // across queries instead of repeating it per query. SearchEngine serves a
-// batch of Q signed queries over a SINGLE pass of the record store, and a
-// single search is a batch of one:
+// batch of Q queries over a SINGLE pass of the record store, and a single
+// search is a batch of one:
 //
-//   1. verify all authority signatures up front (unauthorized queries are
-//      never scanned),
+//   1. claim an in-flight slot (admission control), then verify every
+//      authority signature up front (unauthorized queries are never
+//      scanned),
 //   2. preprocess each query once (SearchBackend::prepare), consulting an
 //      LRU cache keyed by the backend's query digest so repeated identical
 //      queries — the hot-key case — skip preprocessing entirely (a caller
@@ -27,8 +28,8 @@
 //
 // The engine is scheme-agnostic: it drives the server's SearchBackend, so
 // APKS, APKS+ and MRQED^D batches all flow through this identical path
-// (which is what makes the cross-scheme comparison honest). The
-// Capability-typed entry points are thin wrappers for APKS-family servers.
+// (which is what makes the cross-scheme comparison honest). Typed APKS
+// capabilities reach it through borrow_capabilities (auth/authority.h).
 //
 // Results are per query, in record order, and bit-identical to Q
 // single-query batches, whatever the thread count and block size.
@@ -37,11 +38,9 @@
 // (Miller loops and final exponentiations, the paper's cost unit), and
 // cache behaviour.
 //
-// Naming rule: entry points that skip the signature check carry
-// "unchecked" in their name and exist for benchmarks/CLI use (timing the
-// cryptographic scan in isolation) and for callers that check
-// authorization out of band. Production callers use the signed entry
-// points.
+// Two entry points: search_batch_signed verifies the signatures itself;
+// serve_admitted is for callers that authorized out of band (NetServer
+// after kAuth, cluster nodes, benches timing the scan alone).
 #pragma once
 
 #include <atomic>
@@ -113,6 +112,26 @@ struct EngineCounters {
   PairingOpCounts ops;
 };
 
+// One search request through the admitted entry point.
+struct SearchRequest {
+  std::span<const AnyQuery> queries{};
+  // Empty, or backend.digest(queries[i]) for every query (a network
+  // session computes it once at kAuth); the engine then skips re-hashing.
+  std::span<const QueryDigest> digests{};
+  ServeControl control{};
+  // Fill SearchReply::ids: the record id of every match, the merge key a
+  // cluster coordinator needs to glue per-shard results back together.
+  bool want_ids = false;
+};
+
+// Its reply: per query, the matched doc refs in record order, and their
+// record ids when the request asked for them.
+struct SearchReply {
+  std::vector<std::vector<std::string>> refs;
+  std::vector<std::vector<std::uint64_t>> ids;
+  BatchMetrics metrics;
+};
+
 class SearchEngine {
  public:
   struct Options {
@@ -130,7 +149,7 @@ class SearchEngine {
     std::uint64_t deadline_ms = 0;
     // Load shedding: batches admitted concurrently beyond this limit are
     // rejected up front with Overloaded (0 = unlimited). Shed batches run
-    // no crypto at all.
+    // no crypto at all, signature checks included.
     std::size_t max_inflight = 0;
     // Byte budget of the per-segment verdict cache (0 disables it). Hot
     // repeated queries over a server loaded from a sealed-segment-heavy
@@ -162,63 +181,37 @@ class SearchEngine {
                                  options.verdict_cache_bytes)
                            : nullptr)) {}
 
-  // Serve a batch: one result vector per capability, in record order,
-  // identical to serving each capability as a batch of one. Unauthorized
-  // capabilities yield an empty result with zero records scanned.
-  // Requires an APKS-family server backend.
+  // The verified entry point: checks every query's authority signature
+  // over the backend's query_message, then serves the batch. One result
+  // vector per query, in record order, identical to serving each query as
+  // a batch of one; an unauthorized query yields an empty result with zero
+  // records scanned.
   //
-  // Serving limits (all entry points): a batch beyond Options::max_inflight
-  // throws Overloaded before any crypto runs. A deadline (control's, else
+  // Serving limits (both entry points): a batch beyond
+  // Options::max_inflight throws Overloaded before any crypto runs (this
+  // one verifies only once admitted). A deadline (control's, else
   // Options::deadline_ms) or the control's cancel token stops the scan at
   // the next block boundary; the batch then throws DeadlineExceeded /
   // ServingError(kCancelled) — with metrics already filled — unless
   // control.partial_ok, in which case the partial results are returned and
   // the metrics carry the outcome flags.
-  [[nodiscard]] std::vector<std::vector<std::string>> search_batch(
-      std::span<const SignedCapability> caps, BatchMetrics* metrics = nullptr,
-      const ServeControl& control = {}) const;
-
-  // Scheme-agnostic batch: signatures are verified over the backend's
-  // query_message (identical acceptance to search_batch for APKS-family
-  // backends).
   [[nodiscard]] std::vector<std::vector<std::string>> search_batch_signed(
       std::span<const SignedQuery> queries, BatchMetrics* metrics = nullptr,
       const ServeControl& control = {}) const;
 
-  // Single verified query: a batch of one. On DeadlineExceeded or
-  // ServingError(kCancelled) `metrics` is filled before the throw, as for
-  // a batch.
-  [[nodiscard]] std::vector<std::string> search(
-      const SignedCapability& cap, ServerMetrics* metrics = nullptr,
-      const ServeControl& control = {}) const;
+  // The admitted entry point, for callers that authorized the queries out
+  // of band (a network session checked the signature at kAuth; benches
+  // time the scan in isolation). `authorized` stays false in the metrics:
+  // the engine's authorization layer never ran. The reply, metrics
+  // included, is filled before a stopped batch throws. A non-empty
+  // request.digests of the wrong length throws std::invalid_argument.
+  void serve_admitted(const SearchRequest& request, SearchReply& reply) const;
 
-  // Bench/CLI-only: serve raw capabilities/queries, skipping the
-  // authorization layer. `authorized` stays false in the metrics (the
-  // layer never ran).
-  [[nodiscard]] std::vector<std::vector<std::string>> search_batch_unchecked(
-      std::span<const Capability> caps, BatchMetrics* metrics = nullptr,
-      const ServeControl& control = {}) const;
-  // `digests`, when non-empty, holds backend.digest(queries[i]) for every
-  // query (a network session computes it once at auth); the engine then
-  // skips re-hashing each query. Empty = the engine hashes. A non-empty
-  // span of the wrong length throws std::invalid_argument.
+  // serve_admitted over bare queries, for the end-to-end benchmark harness.
   [[nodiscard]] std::vector<std::vector<std::string>>
   search_batch_unchecked_any(std::span<const AnyQuery> queries,
                              BatchMetrics* metrics = nullptr,
-                             const ServeControl& control = {},
-                             std::span<const QueryDigest> digests = {}) const;
-
-  // Cluster node role: identical scan to search_batch_unchecked_any, but
-  // `match_ids` (one vector per query, parallel to the results) receives
-  // the record id of every match. Ids are the merge key a coordinator
-  // needs to k-way merge per-shard results byte-identically to a
-  // single-node search over the whole store.
-  [[nodiscard]] std::vector<std::vector<std::string>>
-  search_batch_unchecked_any_ids(
-      std::span<const AnyQuery> queries,
-      std::vector<std::vector<std::uint64_t>>* match_ids,
-      BatchMetrics* metrics = nullptr, const ServeControl& control = {},
-      std::span<const QueryDigest> digests = {}) const;
+                             const ServeControl& control = {}) const;
 
   // Lifetime prepared-cache counters (across all batches served through
   // this engine's cache — every engine sharing it, when shared).
@@ -249,11 +242,18 @@ class SearchEngine {
   }
 
  private:
-  [[nodiscard]] std::vector<std::vector<std::string>> run_batch(
-      std::span<const AnyQuery> queries, std::span<const char> authorized,
-      bool checked, BatchMetrics* metrics, const ServeControl& control,
-      std::vector<std::vector<std::uint64_t>>* match_ids = nullptr,
-      std::span<const QueryDigest> digests = {}) const;
+  // The one serving path. Claims an in-flight slot (or sheds), verifies
+  // `signed_queries` when non-empty (they are request.queries with their
+  // signatures), then prepares and scans. Fills `reply`; a stopped batch
+  // does not throw here.
+  void run_batch(const SearchRequest& request,
+                 std::span<const SignedQuery> signed_queries,
+                 SearchReply& reply) const;
+  // Copies the reply's metrics to `metrics` (when non-null), then throws
+  // DeadlineExceeded / ServingError(kCancelled) for a stopped batch unless
+  // control.partial_ok.
+  void finish(const ServeControl& control, const SearchReply& reply,
+              BatchMetrics* metrics) const;
 
   // One counter bump per batch outcome — a mutex is cheap at that rate and
   // buys tear-free counters() snapshots (admission still uses the atomic

@@ -381,19 +381,10 @@ std::vector<std::string> Coordinator::scatter(
     std::exception_ptr round_error;
 
     const auto launch_thread = [&](Attempt* a) {
-      const bool partial_ok = control.partial_ok;
-      a->thread = std::thread([this, a, &query_bytes, advertised_version,
-                               remaining_ms, partial_ok, &round_mu, &round_cv,
-                               round_t0] {
-        if (a->is_hedge) {
-          run_hedge_rpc(map_.nodes()[a->node], a->shards, query_bytes,
-                        advertised_version, remaining_ms, partial_ok,
-                        *a->client, a->out);
-        } else {
-          run_node_rpc(a->node, a->shards, query_bytes, advertised_version,
-                       remaining_ms, partial_ok, a->out, &a->client,
-                       &round_mu);
-        }
+      const ShardRpc rpc{a->shards, query_bytes, advertised_version,
+                         remaining_ms, control.partial_ok};
+      a->thread = std::thread([this, a, rpc, &round_mu, &round_cv, round_t0] {
+        run_rpc(*a, rpc, round_mu);
         {
           std::lock_guard lk(round_mu);
           a->duration_ms = elapsed_ms(round_t0);
@@ -665,84 +656,63 @@ std::vector<std::string> Coordinator::scatter(
   return merge_by_id(std::move(parts));
 }
 
-void Coordinator::run_node_rpc(std::uint32_t node,
-                               const std::vector<std::uint32_t>& shards,
-                               const std::vector<std::uint8_t>& query_bytes,
-                               std::uint64_t map_version,
-                               std::uint64_t deadline_ms, bool partial_ok,
-                               RpcOutcome& out,
-                               std::shared_ptr<net::NetClient>* client_used,
-                               std::mutex* client_mu) {
-  NodeState& state = nodes_[node];
-  const NodeInfo& info = map_.nodes()[node];
+void Coordinator::run_rpc(Attempt& a, const ShardRpc& rpc,
+                          std::mutex& round_mu) {
+  const NodeInfo& info = map_.nodes()[a.node];
+  // A primary runs on the node's persistent client and may reuse its
+  // session. A hedge runs on its own fresh client and always authenticates:
+  // the node may be serving a primary on the persistent session
+  // concurrently, and NetClient is strictly one-thread-at-a-time.
+  NodeState* const session = a.is_hedge ? nullptr : &nodes_[a.node];
   try {
     (void)failpoint(kSiteScatter);  // kThrow fails the RPC, kDelay stalls it
-    if (state.client == nullptr || !state.client->connected()) {
-      auto client = std::make_shared<net::NetClient>();
+    std::shared_ptr<net::NetClient> client =
+        session != nullptr ? session->client : a.client;
+    if (client == nullptr || !client->connected()) {
+      if (session != nullptr) client = std::make_shared<net::NetClient>();
       client->connect(info.host, info.port, options_.node_timeout_ms);
       const net::HelloAckMsg hello = client->hello(backend_->kind());
       if (hello.status != WireStatus::kOk) {
         throw ServingError(ErrorCode::kUnavailable,
                            "hello refused: " + hello.message);
       }
-      state.client = std::move(client);
-      state.authed = false;
+      if (session != nullptr) {
+        session->client = client;
+        session->authed = false;
+      }
     }
-    if (client_used != nullptr) {
+    if (session != nullptr) {
       // Publish the exact client this attempt blocks on, so the round
       // loop can abort() it cross-thread if a hedge wins.
-      std::lock_guard lk(*client_mu);
-      *client_used = state.client;
+      std::lock_guard lk(round_mu);
+      a.client = client;
     }
-    if (!state.authed || state.session_query != query_bytes) {
-      const net::AuthAckMsg ack = state.client->auth_unchecked(query_bytes);
+    if (session == nullptr || !session->authed ||
+        !std::ranges::equal(session->session_query, rpc.query_bytes)) {
+      const net::AuthAckMsg ack = client->auth_unchecked(rpc.query_bytes);
       if (ack.status != WireStatus::kOk) {
         throw ServingError(ErrorCode::kUnavailable,
                            "auth refused: " + ack.message);
       }
-      state.authed = true;
-      state.session_query = query_bytes;
+      if (session != nullptr) {
+        session->authed = true;
+        session->session_query.assign(rpc.query_bytes.begin(),
+                                      rpc.query_bytes.end());
+      }
     }
-    out.result = state.client->shard_search(
-        shards, map_version, map_.total_shards(), deadline_ms, partial_ok);
-    out.ok = true;
+    a.out.result = client->shard_search(rpc.shards, rpc.map_version,
+                                        map_.total_shards(), rpc.deadline_ms,
+                                        rpc.partial_ok);
+    a.out.ok = true;
   } catch (const std::exception& ex) {
-    out.error = "node '" + info.name + "': " + ex.what();
-    // Drop the connection: a transport fault leaves the stream in an
-    // unknown state, and the next attempt redials cleanly.
-    state.client.reset();
-    state.authed = false;
-  }
-}
-
-void Coordinator::run_hedge_rpc(const NodeInfo& info,
-                                const std::vector<std::uint32_t>& shards,
-                                const std::vector<std::uint8_t>& query_bytes,
-                                std::uint64_t map_version,
-                                std::uint64_t deadline_ms, bool partial_ok,
-                                net::NetClient& client, RpcOutcome& out) {
-  // A fresh connection + session every time: the node may be serving a
-  // primary RPC on its persistent session concurrently, and NetClient is
-  // strictly one-thread-at-a-time.
-  try {
-    (void)failpoint(kSiteScatter);
-    client.connect(info.host, info.port, options_.node_timeout_ms);
-    const net::HelloAckMsg hello = client.hello(backend_->kind());
-    if (hello.status != WireStatus::kOk) {
-      throw ServingError(ErrorCode::kUnavailable,
-                         "hello refused: " + hello.message);
+    a.out.error = (session != nullptr ? "node '" : "hedge to '") + info.name +
+                  "': " + ex.what();
+    if (session != nullptr) {
+      // Drop the connection: a transport fault leaves the stream in an
+      // unknown state, and the next attempt redials cleanly.
+      session->client.reset();
+      session->authed = false;
     }
-    const net::AuthAckMsg ack = client.auth_unchecked(query_bytes);
-    if (ack.status != WireStatus::kOk) {
-      throw ServingError(ErrorCode::kUnavailable,
-                         "auth refused: " + ack.message);
-    }
-    out.result = client.shard_search(shards, map_version,
-                                     map_.total_shards(), deadline_ms,
-                                     partial_ok);
-    out.ok = true;
-  } catch (const std::exception& ex) {
-    out.error = "hedge to '" + info.name + "': " + ex.what();
   }
 }
 

@@ -59,6 +59,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -240,25 +241,20 @@ class Coordinator {
     bool done = false;  // guarded by the round mutex
   };
 
-  // Dial (if needed), establish the session query, and run one
-  // shard-scoped RPC on the node's persistent client. Only ever called
-  // from one thread per node at a time (a scatter round assigns each
-  // node at most one primary).
-  void run_node_rpc(std::uint32_t node,
-                    const std::vector<std::uint32_t>& shards,
-                    const std::vector<std::uint8_t>& query_bytes,
-                    std::uint64_t map_version, std::uint64_t deadline_ms,
-                    bool partial_ok, RpcOutcome& out,
-                    std::shared_ptr<net::NetClient>* client_used,
-                    std::mutex* client_mu);
-  // The hedge path: a fresh connection + session, so it can race a
-  // primary already talking to the same node.
-  void run_hedge_rpc(const NodeInfo& info,
-                     const std::vector<std::uint32_t>& shards,
-                     const std::vector<std::uint8_t>& query_bytes,
-                     std::uint64_t map_version, std::uint64_t deadline_ms,
-                     bool partial_ok, net::NetClient& client,
-                     RpcOutcome& out);
+  // What one shard RPC asks a node; a primary and its hedges ask the same.
+  struct ShardRpc {
+    std::span<const std::uint32_t> shards;
+    std::span<const std::uint8_t> query_bytes;
+    std::uint64_t map_version = 0;
+    std::uint64_t deadline_ms = 0;
+    bool partial_ok = false;
+  };
+  // Runs `a`'s RPC: dial and hello when its client is not connected,
+  // authenticate the session query, then one shard-scoped search. A
+  // primary (only ever one per node at a time: a scatter round assigns
+  // each node at most one) uses the node's persistent client and session;
+  // a hedge uses its own fresh client.
+  void run_rpc(Attempt& a, const ShardRpc& rpc, std::mutex& round_mu);
   // Push this coordinator's map to a stale node over a one-shot
   // connection. Returns true when the node ended at our version.
   bool push_map_to(std::uint32_t node, std::string* error);

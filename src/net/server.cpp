@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
 #include "common/failpoint.h"
 #include "hpe/serialize.h"
@@ -630,28 +631,9 @@ void NetServer::run_search_job(const SearchJob& job) {
 
   ResultEndMsg end;
   end.request_id = job.request.request_id;
-  const bool sharded = job.set != nullptr;
-  std::vector<std::vector<std::string>> results;
   std::vector<ShardHit> hits;
-  BatchMetrics metrics;
   try {
-    if (sharded) {
-      // kShardSearch: scan the requested shards and merge the hits by
-      // record id. Everything goes through the job's snapshot of the set,
-      // so a map swap mid-scan is invisible here.
-      hits = scan_shards(*job.set, job.shards, job.query, job.digest, control,
-                         end);
-    } else {
-      results = engine_->search_batch_unchecked_any(
-          {&job.query, 1}, &metrics, control, {&job.digest, 1});
-      if (metrics.deadline_exceeded) {
-        end.status = WireStatus::kDeadlineExceeded;
-        end.flags |= kResultDeadlineExceeded | kResultTruncated;
-      } else if (metrics.cancelled) {
-        end.status = WireStatus::kCancelled;
-        end.flags |= kResultCancelled | kResultTruncated;
-      }
-    }
+    hits = serve_job(job, control, end);
   } catch (const ServingError& ex) {
     end.status = wire_status_from_error(ex.code());
     end.message = ex.what();
@@ -661,13 +643,6 @@ void NetServer::run_search_job(const SearchJob& job) {
   } catch (const std::exception& ex) {
     end.status = WireStatus::kUnavailable;
     end.message = ex.what();
-  }
-  if (!sharded) {
-    if (!metrics.per_query.empty()) {
-      end.scanned = metrics.per_query[0].scanned;
-      end.matched = metrics.per_query[0].matched;
-    }
-    end.wall_us = static_cast<std::uint64_t>(metrics.wall_s * 1e6);
   }
 
   switch (end.status) {
@@ -690,33 +665,31 @@ void NetServer::run_search_job(const SearchJob& job) {
 
   // Chunked response: full results stream for kOk; deadline/cancel stream
   // the truncated-but-well-formed prefix only when the client asked for it.
+  // A shard job's chunks keep each hit's record id; a plain job's carry
+  // the refs alone.
   std::vector<std::vector<std::uint8_t>> frames;
   const bool stream_results =
       end.status == WireStatus::kOk ||
       ((end.flags & kResultTruncated) != 0 && job.request.partial_ok);
-  if (stream_results && sharded) {
-    // Shard response: id-carrying hit chunks.
-    for (std::size_t lo = 0; lo < hits.size();
-         lo += options_.result_chunk_refs) {
+  const std::size_t per_chunk = options_.result_chunk_refs;
+  for (std::size_t lo = 0; stream_results && lo < hits.size();
+       lo += per_chunk) {
+    const auto first = hits.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto last =
+        hits.begin() + static_cast<std::ptrdiff_t>(
+                           std::min(hits.size(), lo + per_chunk));
+    if (job.set != nullptr) {
       ShardChunkMsg chunk;
       chunk.request_id = job.request.request_id;
-      const std::size_t hi =
-          std::min(hits.size(), lo + options_.result_chunk_refs);
-      for (std::size_t i = lo; i < hi; ++i) {
-        chunk.hits.push_back(std::move(hits[i]));
-      }
+      chunk.hits.assign(std::make_move_iterator(first),
+                        std::make_move_iterator(last));
       frames.push_back(encode_frame(chunk.encode()));
-    }
-  } else if (stream_results && !results.empty()) {
-    const std::vector<std::string>& refs = results[0];
-    for (std::size_t lo = 0; lo < refs.size();
-         lo += options_.result_chunk_refs) {
+    } else {
       ResultChunkMsg chunk;
       chunk.request_id = job.request.request_id;
-      const std::size_t hi =
-          std::min(refs.size(), lo + options_.result_chunk_refs);
-      chunk.refs.assign(refs.begin() + static_cast<std::ptrdiff_t>(lo),
-                        refs.begin() + static_cast<std::ptrdiff_t>(hi));
+      for (auto it = first; it != last; ++it) {
+        chunk.refs.push_back(std::move(it->ref));
+      }
       frames.push_back(encode_frame(chunk.encode()));
     }
   }
@@ -736,63 +709,67 @@ void NetServer::run_search_job(const SearchJob& job) {
   });
 }
 
-std::vector<ShardHit> NetServer::scan_shards(
-    const ShardEngineSet& set, std::span<const std::uint32_t> shards,
-    const AnyQuery& query, const QueryDigest& digest,
-    const ServeControl& control, ResultEndMsg& end) const {
+std::vector<ShardHit> NetServer::serve_job(const SearchJob& job,
+                                           const ServeControl& control,
+                                           ResultEndMsg& end) const {
+  const bool sharded = job.set != nullptr;
+  const auto stopped = [&](WireStatus status, std::uint8_t flag) {
+    end.status = status;
+    end.flags |= flag | kResultTruncated;
+  };
+
   std::vector<ShardHit> hits;
   const auto t0 = std::chrono::steady_clock::now();
   double wall_s = 0.0;
-  for (const std::uint32_t shard : shards) {
+  for (std::size_t k = 0; k < (sharded ? job.shards.size() : 1); ++k) {
+    const SearchEngine* engine =  // shards were validated at dispatch
+        sharded ? job.set->engine_for(job.shards[k]) : engine_;
+    SearchRequest request{.queries = {&job.query, 1},
+                          .digests = {&job.digest, 1},
+                          .control = control,
+                          .want_ids = sharded};
     // One deadline budget across the whole request: each shard's engine
     // gets whatever remains of it.
-    ServeControl sub = control;
     if (control.deadline_ms != 0) {
       const auto elapsed_ms = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::milliseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
       if (elapsed_ms >= control.deadline_ms) {
-        end.status = WireStatus::kDeadlineExceeded;
-        end.flags |= kResultDeadlineExceeded | kResultTruncated;
+        stopped(WireStatus::kDeadlineExceeded, kResultDeadlineExceeded);
         break;
       }
-      sub.deadline_ms = control.deadline_ms - elapsed_ms;
+      request.control.deadline_ms = control.deadline_ms - elapsed_ms;
     }
-    const SearchEngine* engine = set.engine_for(shard);  // validated upstream
-    BatchMetrics metrics;
-    std::vector<std::vector<std::uint64_t>> ids;
-    std::vector<std::vector<std::string>> refs =
-        engine->search_batch_unchecked_any_ids({&query, 1}, &ids, &metrics,
-                                               sub, {&digest, 1});
-    if (!metrics.per_query.empty()) {
-      end.scanned += metrics.per_query[0].scanned;
-      end.matched += metrics.per_query[0].matched;
-    }
+    SearchReply reply;
+    engine->serve_admitted(request, reply);
+    const BatchMetrics& metrics = reply.metrics;
+    end.scanned += metrics.per_query[0].scanned;
+    end.matched += metrics.per_query[0].matched;
     wall_s += metrics.wall_s;
-    if (!refs.empty()) {
-      for (std::size_t i = 0; i < refs[0].size(); ++i) {
-        hits.push_back(ShardHit{ids[0][i], std::move(refs[0][i])});
-      }
+    hits.reserve(hits.size() + reply.refs[0].size());
+    for (std::size_t i = 0; i < reply.refs[0].size(); ++i) {
+      hits.push_back(ShardHit{sharded ? reply.ids[0][i] : 0,
+                              std::move(reply.refs[0][i])});
     }
     if (metrics.deadline_exceeded) {
-      end.status = WireStatus::kDeadlineExceeded;
-      end.flags |= kResultDeadlineExceeded | kResultTruncated;
+      stopped(WireStatus::kDeadlineExceeded, kResultDeadlineExceeded);
       break;
     }
     if (metrics.cancelled) {
-      end.status = WireStatus::kCancelled;
-      end.flags |= kResultCancelled | kResultTruncated;
+      stopped(WireStatus::kCancelled, kResultCancelled);
       break;
     }
   }
   end.wall_us = static_cast<std::uint64_t>(wall_s * 1e6);
-  // Sort by id (ids are unique across shards): the ascending-id order a
-  // single-node SearchEngine answers in, so a coordinator gluing per-node
-  // hit streams back together reproduces the single-node byte order
-  // exactly.
-  std::sort(hits.begin(), hits.end(),
-            [](const ShardHit& a, const ShardHit& b) { return a.id < b.id; });
+  // Shard hits sort by id (ids are unique across shards): the
+  // ascending-id order a single-node SearchEngine answers in, so a
+  // coordinator gluing per-node hit streams back together reproduces the
+  // single-node byte order exactly.
+  if (sharded) {
+    std::sort(hits.begin(), hits.end(),
+              [](const ShardHit& a, const ShardHit& b) { return a.id < b.id; });
+  }
   return hits;
 }
 

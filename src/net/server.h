@@ -247,15 +247,14 @@ class NetServer {
                          MapUpdateMsg msg);
   void run_search_job(const SearchJob& job);
   void run_map_update_job(const SearchJob& job);
-  // Scan the given shards' engines (from `set`, the job's snapshot)
-  // sequentially under one deadline budget, merging hits ascending by
-  // record id (the same concatenate-then-sort a single-node ShardedStore
-  // scan performs). Fills `end` with the aggregated outcome; throws what
-  // the engines throw.
-  [[nodiscard]] std::vector<ShardHit> scan_shards(
-      const ShardEngineSet& set, std::span<const std::uint32_t> shards,
-      const AnyQuery& query, const QueryDigest& digest,
-      const ServeControl& control, ResultEndMsg& end) const;
+  // Serve the job through SearchEngine::serve_admitted: a plain job on
+  // this server's engine; a shard job on each requested shard's engine
+  // (from `job.set`, its snapshot) in turn under one deadline budget, with
+  // the hits merged ascending by record id. Fills `end` with the
+  // aggregated outcome; throws what the engines throw.
+  [[nodiscard]] std::vector<ShardHit> serve_job(const SearchJob& job,
+                                                const ServeControl& control,
+                                                ResultEndMsg& end) const;
   // Total records across the serving engines (summed over owned shards for
   // a shard-backed server) — the hello ack's record count.
   [[nodiscard]] std::uint64_t served_records() const;

@@ -25,6 +25,7 @@
 #include "data/workload.h"
 #include "mrqed/mrqed_backend.h"
 #include "store/sharded_store.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -140,8 +141,9 @@ TEST_F(BackendTest, ServedQueryDecodeMatchesTypedCapability) {
   }
 }
 
-// The typed (SignedCapability) and scheme-agnostic (SignedQuery) serving
-// paths return identical results and stats over the same record set.
+// A typed SignedCapability borrowed as a SignedQuery and an independently
+// built SignedQuery over the same capability verify alike and return
+// identical results and stats over the same record set.
 TEST_F(BackendTest, ApksSignedQueryPathMatchesTypedPath) {
   const Pairing e(default_type_a_params());
   const Apks scheme(e, nursery_schema(1));
@@ -162,11 +164,16 @@ TEST_F(BackendTest, ApksSignedQueryPathMatchesTypedPath) {
   const SignedCapability cap =
       ta.issue(nursery_point_query(rows[769 % rows.size()]), rng);
   const SearchEngine engine(server, {.threads = 1});
-  ServerMetrics typed_stats;
-  const auto typed = engine.search(cap, &typed_stats);
+  const std::vector<SignedQuery> borrowed =
+      borrow_capabilities(backend, {&cap, 1});
+  EXPECT_TRUE(verifier.verify(cap));
+  EXPECT_TRUE(verifier.verify(backend, borrowed[0]));
+  BatchMetrics typed_metrics;
+  const auto typed = engine.search_batch_signed(borrowed, &typed_metrics)[0];
+  const ServerMetrics& typed_stats = typed_metrics.per_query[0];
   ASSERT_FALSE(typed.empty());
 
-  const SignedQuery sq{AnyQuery::ref(SchemeKind::kApks, &cap.cap), cap.issuer,
+  const SignedQuery sq{AnyQuery::own(SchemeKind::kApks, cap.cap), cap.issuer,
                        cap.sig};
   BatchMetrics generic;
   EXPECT_EQ(engine.search_batch_signed({&sq, 1}, &generic)[0], typed);
@@ -222,11 +229,9 @@ TEST_F(BackendTest, MrqedServesThroughUnifiedServerAndEngine) {
   for (std::size_t i = 0; i < cases.size(); ++i) {
     queries.push_back(AnyQuery::own(
         SchemeKind::kMrqed, mrqed.gen_key(pk, msk, cases[i].ranges, rng)));
-    BatchMetrics one;
-    EXPECT_EQ(single.search_batch_unchecked_any({&queries[i], 1}, &one)[0],
-              cases[i].expect)
-        << "case " << i;
-    seq_stats[i] = one.per_query[0];
+    const SearchReply one = serve(single, {.queries = {&queries[i], 1}});
+    EXPECT_EQ(one.refs[0], cases[i].expect) << "case " << i;
+    seq_stats[i] = one.metrics.per_query[0];
   }
 
   // Signed path: the authority signs the backend's query_message.
@@ -241,8 +246,9 @@ TEST_F(BackendTest, MrqedServesThroughUnifiedServerAndEngine) {
   // Batch (parallel, blocked, cached) == one query at a time, with
   // per-query stats.
   SearchEngine engine(server, {.threads = 3});
-  BatchMetrics metrics;
-  const auto batched = engine.search_batch_unchecked_any(queries, &metrics);
+  const SearchReply reply = serve(engine, {.queries = queries});
+  const auto& batched = reply.refs;
+  const BatchMetrics& metrics = reply.metrics;
   ASSERT_EQ(batched.size(), cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
     EXPECT_EQ(batched[i], cases[i].expect) << "case " << i;
@@ -284,8 +290,10 @@ TEST_F(BackendTest, ApksPlusIngestStageTransformsAndGuards) {
 
   const PlainIndex& target = rows[1201 % rows.size()];
   const SignedCapability cap = ta.issue(nursery_point_query(target), rng);
-  ServerMetrics stats;
-  const auto hits = SearchEngine(server).search(cap, &stats);
+  BatchMetrics bm;
+  const auto hits = SearchEngine(server).search_batch_signed(
+      borrow_capabilities(server.backend(), {&cap, 1}), &bm)[0];
+  const ServerMetrics& stats = bm.per_query[0];
   EXPECT_FALSE(hits.empty());
   EXPECT_EQ(hits[0], "row-1");
   EXPECT_EQ(stats.scanned, 6u);
@@ -307,7 +315,10 @@ TEST_F(BackendTest, ApksPlusIngestStageTransformsAndGuards) {
   CloudServer unguarded(static_cast<const Apks&>(plus), verifier);
   unguarded.restore(1, plus.partial_gen_index(setup.pk, target, rng),
                     "forged");
-  EXPECT_TRUE(SearchEngine(unguarded).search(cap).empty());
+  EXPECT_TRUE(SearchEngine(unguarded)
+                  .search_batch_signed(
+                      borrow_capabilities(unguarded.backend(), {&cap, 1}))[0]
+                  .empty());
 }
 
 // A store written under one scheme must be refused — with an error naming
@@ -509,7 +520,8 @@ TEST_F(BackendTest, OtherStoreAndManifestVersionsAreRefused) {
           "row-" + std::to_string(i));
     }
     store.sync();
-    original = SearchEngine(writer).search(cap);
+    original = SearchEngine(writer).search_batch_signed(
+        borrow_capabilities(writer.backend(), {&cap, 1}))[0];
     ASSERT_FALSE(original.empty());
   }
 
@@ -535,7 +547,9 @@ TEST_F(BackendTest, OtherStoreAndManifestVersionsAreRefused) {
   ShardedStore reopened(backend, dir_.path(), two_shards());
   CloudServer restarted(scheme, verifier);
   EXPECT_EQ(restarted.load_from(reopened), 6u);
-  EXPECT_EQ(SearchEngine(restarted).search(cap), original);
+  EXPECT_EQ(SearchEngine(restarted).search_batch_signed(
+                borrow_capabilities(restarted.backend(), {&cap, 1}))[0],
+            original);
 }
 
 }  // namespace

@@ -54,6 +54,7 @@
 #include "store/fs.h"
 #include "store/index_store.h"
 #include "store/sharded_store.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -303,10 +304,15 @@ TEST_F(ChaosTest, ParkedUploadsDrainAfterRecoveryWithZeroLoss) {
 
   const SignedCapability cap =
       env.ta.issue(nursery_point_query(env.target_row()), env.rng);
-  ServerMetrics faulty_stats;
-  ServerMetrics twin_stats;
-  const auto faulty_hits = SearchEngine(faulty).search(cap, &faulty_stats);
-  const auto twin_hits = SearchEngine(twin).search(cap, &twin_stats);
+  const std::vector<SignedQuery> query =
+      borrow_capabilities(faulty.backend(), {&cap, 1});
+  BatchMetrics faulty_bm;
+  BatchMetrics twin_bm;
+  const auto faulty_hits =
+      SearchEngine(faulty).search_batch_signed(query, &faulty_bm)[0];
+  const auto twin_hits = SearchEngine(twin).search_batch_signed(query, &twin_bm)[0];
+  const ServerMetrics& faulty_stats = faulty_bm.per_query[0];
+  const ServerMetrics& twin_stats = twin_bm.per_query[0];
   ASSERT_FALSE(twin_hits.empty());
   EXPECT_EQ(faulty_hits, twin_hits);
   EXPECT_EQ(faulty_stats.authorized, twin_stats.authorized);
@@ -427,7 +433,7 @@ TEST_F(ChaosTest, CircuitBreakerOpensProbesAndRecovers) {
 // --- Deadline / cancellation / load-shedding chaos --------------------------
 
 // A populated APKS+ server plus one raw capability for the engine's
-// unchecked batch path.
+// admitted entry point.
 struct ServingRig {
   explicit ServingRig(PlusEnv& env)
       : backend(env.plus), server(backend, env.verifier) {
@@ -436,10 +442,12 @@ struct ServingRig {
     }
     caps.push_back(env.plus.gen_cap(
         env.setup.msk, nursery_point_query(env.target_row()), env.rng));
+    queries = borrow_capabilities(backend, caps);
   }
   ApksPlusBackend backend;
   CloudServer server;
   std::vector<Capability> caps;
+  std::vector<AnyQuery> queries;  // borrows `caps`
 };
 
 TEST_F(ChaosTest, EngineDeadlineStopsAtBlockBoundary) {
@@ -448,7 +456,7 @@ TEST_F(ChaosTest, EngineDeadlineStopsAtBlockBoundary) {
   SearchEngine engine(rig.server, {.threads = 1, .block_records = 1});
 
   // Fault-free reference first (also warms the prepared-query cache).
-  const auto full = engine.search_batch_unchecked(rig.caps);
+  const auto full = serve(engine, {.queries = rig.queries}).refs;
   ASSERT_FALSE(full[0].empty());
 
   // Each block stalls 30 ms; a 40 ms deadline dies mid-scan.
@@ -459,9 +467,11 @@ TEST_F(ChaosTest, EngineDeadlineStopsAtBlockBoundary) {
 
   ServeControl ctl;
   ctl.deadline_ms = 40;
-  BatchMetrics bm;
-  EXPECT_THROW((void)engine.search_batch_unchecked(rig.caps, &bm, ctl),
+  SearchReply stopped;
+  EXPECT_THROW(engine.serve_admitted(
+                   {.queries = rig.queries, .control = ctl}, stopped),
                DeadlineExceeded);
+  const BatchMetrics& bm = stopped.metrics;
   EXPECT_TRUE(bm.deadline_exceeded);
   EXPECT_FALSE(bm.cancelled);
   EXPECT_LT(bm.per_query[0].scanned, rig.server.record_count());
@@ -471,8 +481,11 @@ TEST_F(ChaosTest, EngineDeadlineStopsAtBlockBoundary) {
   // ran — a prefix of the fault-free results (one thread scans blocks in
   // record order).
   ctl.partial_ok = true;
-  BatchMetrics partial_bm;
-  const auto partial = engine.search_batch_unchecked(rig.caps, &partial_bm, ctl);
+  SearchReply partial_reply;
+  engine.serve_admitted({.queries = rig.queries, .control = ctl},
+                        partial_reply);
+  const BatchMetrics& partial_bm = partial_reply.metrics;
+  const auto& partial = partial_reply.refs;
   EXPECT_TRUE(partial_bm.deadline_exceeded);
   EXPECT_LT(partial_bm.per_query[0].scanned, rig.server.record_count());
   ASSERT_LE(partial[0].size(), full[0].size());
@@ -493,20 +506,22 @@ TEST_F(ChaosTest, EngineCancellationTokenStopsScan) {
   std::atomic<bool> cancel{true};  // already cancelled at admission
   ServeControl ctl;
   ctl.cancel = &cancel;
-  BatchMetrics bm;
+  SearchReply stopped;
   try {
-    (void)engine.search_batch_unchecked(rig.caps, &bm, ctl);
+    engine.serve_admitted({.queries = rig.queries, .control = ctl}, stopped);
     FAIL() << "cancelled batch must throw";
   } catch (const ServingError& err) {
     EXPECT_EQ(err.code(), ErrorCode::kCancelled);
   }
+  const BatchMetrics& bm = stopped.metrics;
   EXPECT_TRUE(bm.cancelled);
   EXPECT_EQ(bm.per_query[0].scanned, 0u);
   EXPECT_EQ(engine.counters().cancelled, 1u);
 
   // Partial mode returns the (empty) prefix instead of throwing.
   ctl.partial_ok = true;
-  const auto partial = engine.search_batch_unchecked(rig.caps, nullptr, ctl);
+  const auto partial =
+      serve(engine, {.queries = rig.queries, .control = ctl}).refs;
   EXPECT_TRUE(partial[0].empty());
   EXPECT_EQ(engine.counters().cancelled, 2u);
 }
@@ -524,7 +539,7 @@ TEST_F(ChaosTest, AdmissionShedsBatchesBeyondMaxInflight) {
   Failpoints::instance().set("engine.scan_block", slow);
 
   std::thread bg([&] {
-    const auto hits = engine.search_batch_unchecked(rig.caps);
+    const auto hits = serve(engine, {.queries = rig.queries}).refs;
     EXPECT_FALSE(hits[0].empty());
   });
   // Wait (bounded) until the background batch is admitted.
@@ -534,7 +549,7 @@ TEST_F(ChaosTest, AdmissionShedsBatchesBeyondMaxInflight) {
   EXPECT_EQ(engine.inflight(), 1u) << "background batch never started";
 
   try {
-    (void)engine.search_batch_unchecked(rig.caps);
+    (void)serve(engine, {.queries = rig.queries});
     FAIL() << "second concurrent batch must be shed";
   } catch (const Overloaded& err) {
     EXPECT_EQ(err.code(), ErrorCode::kOverloaded);
@@ -547,6 +562,46 @@ TEST_F(ChaosTest, AdmissionShedsBatchesBeyondMaxInflight) {
   EXPECT_EQ(engine.inflight(), 0u);
 }
 
+// A shed signed batch runs no crypto at all, its signature checks
+// included: the verified entry point claims its in-flight slot before it
+// verifies anything.
+TEST_F(ChaosTest, AdmissionShedsSignedBatchBeforeVerifying) {
+  PlusEnv& env = plus_env();
+  ServingRig rig(env);
+  // One block per batch: the background batch parks in a single delay.
+  SearchEngine engine(rig.server,
+                      {.threads = 1, .block_records = 64, .max_inflight = 1});
+  constexpr std::size_t kQueries = 3;
+  const std::vector<SignedCapability> caps(
+      kQueries, env.ta.issue(nursery_point_query(env.target_row()), env.rng));
+  const std::vector<SignedQuery> queries =
+      borrow_capabilities(rig.backend, caps);
+
+  // Warm the prepared cache, so the parked batch pairs nothing before its
+  // block delay.
+  (void)serve(engine, {.queries = rig.queries});
+  FailpointPolicy slow;
+  slow.action = FailAction::kDelay;
+  slow.delay_ms = 500;
+  Failpoints::instance().set("engine.scan_block", slow);
+  std::thread bg([&] { (void)serve(engine, {.queries = rig.queries}); });
+  for (int spin = 0; spin < 2000 && engine.inflight() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.inflight(), 1u) << "background batch never started";
+
+  const Pairing& pairing = rig.backend.pairing();
+  const PairingOpCounts before = pairing.op_counts();
+  EXPECT_THROW((void)engine.search_batch_signed(queries), Overloaded);
+  const PairingOpCounts shed_ops = pairing.op_counts() - before;
+  bg.join();
+
+  EXPECT_EQ(shed_ops.miller, 0u);
+  EXPECT_EQ(shed_ops.multi_miller, 0u);
+  EXPECT_EQ(shed_ops.final_exp, 0u);
+  EXPECT_EQ(engine.counters().shed, 1u);
+}
+
 TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {
   PlusEnv& env = plus_env();
   ServingRig rig(env);
@@ -556,16 +611,21 @@ TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {
   // One worker, one record per block: the scan stops at a known boundary.
   const SearchEngine engine(rig.server, {.threads = 1, .block_records = 1});
 
+  const std::vector<SignedQuery> query =
+      borrow_capabilities(rig.backend, {&cap, 1});
+
   // Fault-free: a search with a generous deadline is byte-identical to one
   // with none.
-  ServerMetrics plain_stats;
-  const auto plain = engine.search(cap, &plain_stats);
+  BatchMetrics plain_stats;
+  const auto plain = engine.search_batch_signed(query, &plain_stats);
   ServeControl relaxed;
   relaxed.deadline_ms = 60000;
-  ServerMetrics relaxed_stats;
-  EXPECT_EQ(engine.search(cap, &relaxed_stats, relaxed), plain);
-  EXPECT_EQ(relaxed_stats.scanned, plain_stats.scanned);
-  EXPECT_EQ(relaxed_stats.matched, plain_stats.matched);
+  BatchMetrics relaxed_stats;
+  EXPECT_EQ(engine.search_batch_signed(query, &relaxed_stats, relaxed), plain);
+  EXPECT_EQ(relaxed_stats.per_query[0].scanned,
+            plain_stats.per_query[0].scanned);
+  EXPECT_EQ(relaxed_stats.per_query[0].matched,
+            plain_stats.per_query[0].matched);
 
   // Stall the scan; a tight deadline dies at a block boundary with the
   // typed error and the progress-so-far in the metrics.
@@ -575,8 +635,11 @@ TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {
   Failpoints::instance().set("engine.scan_block", slow);
   ServeControl tight;
   tight.deadline_ms = 25;
-  ServerMetrics stats;
-  EXPECT_THROW((void)engine.search(cap, &stats, tight), DeadlineExceeded);
+  BatchMetrics bm;
+  EXPECT_THROW((void)engine.search_batch_signed(query, &bm, tight),
+               DeadlineExceeded);
+  ASSERT_EQ(bm.per_query.size(), 1u);
+  const ServerMetrics& stats = bm.per_query[0];
   EXPECT_TRUE(stats.authorized);
   EXPECT_TRUE(stats.deadline_exceeded);
   EXPECT_LT(stats.scanned, rig.server.record_count());
@@ -586,13 +649,15 @@ TEST_F(ChaosTest, CloudServerDeadlineAndCancellationThrowTyped) {
   std::atomic<bool> cancel{true};
   ServeControl cancelled;
   cancelled.cancel = &cancel;
-  ServerMetrics cancel_stats;
+  BatchMetrics cancel_bm;
   try {
-    (void)engine.search(cap, &cancel_stats, cancelled);
+    (void)engine.search_batch_signed(query, &cancel_bm, cancelled);
     FAIL() << "cancelled search must throw";
   } catch (const ServingError& err) {
     EXPECT_EQ(err.code(), ErrorCode::kCancelled);
   }
+  ASSERT_EQ(cancel_bm.per_query.size(), 1u);
+  const ServerMetrics& cancel_stats = cancel_bm.per_query[0];
   EXPECT_TRUE(cancel_stats.cancelled);
   EXPECT_FALSE(cancel_stats.deadline_exceeded);
 }
@@ -606,8 +671,7 @@ net::NetServerOptions net_unchecked() {
 }
 
 std::vector<std::uint8_t> rig_query_bytes(const ServingRig& rig) {
-  return rig.backend.encode_query(
-      AnyQuery::ref(SchemeKind::kApksPlus, &rig.caps[0]));
+  return rig.backend.encode_query(rig.queries[0]);
 }
 
 // A frame-level raw client: NetClient refuses to send torn frames, a
@@ -640,7 +704,7 @@ TEST_F(ChaosTest, NetTornFrameDisconnectDoesNotPoisonServer) {
   PlusEnv& env = plus_env();
   ServingRig rig(env);
   SearchEngine engine(rig.server, {.threads = 1});
-  const auto full = engine.search_batch_unchecked(rig.caps);
+  const auto full = serve(engine, {.queries = rig.queries}).refs;
   ASSERT_FALSE(full[0].empty());
   net::NetServer server(engine, net_unchecked());
 
@@ -681,7 +745,7 @@ TEST_F(ChaosTest, NetMidSearchDisconnectFreesInflightSlot) {
   ServingRig rig(env);
   SearchEngine engine(rig.server,
                       {.threads = 1, .block_records = 1, .max_inflight = 1});
-  const auto full = engine.search_batch_unchecked(rig.caps);
+  const auto full = serve(engine, {.queries = rig.queries}).refs;
   net::NetServer server(engine, net_unchecked());
 
   FailpointPolicy slow;
@@ -761,7 +825,7 @@ TEST_F(ChaosTest, NetSocketFailpointsCloseOnlyTheAffectedConnection) {
   PlusEnv& env = plus_env();
   ServingRig rig(env);
   SearchEngine engine(rig.server, {.threads = 1});
-  const auto full = engine.search_batch_unchecked(rig.caps);
+  const auto full = serve(engine, {.queries = rig.queries}).refs;
   net::NetServer server(engine, net_unchecked());
 
   FailpointPolicy fault;

@@ -67,8 +67,10 @@ TEST_F(CloudTest, AuthorizedSearchReturnsMatchingDocs) {
   const auto cap = lta_->delegate_for_user(
       "peter", q3(QueryTerm::equals("Diabetes")), rng_);
   ASSERT_TRUE(cap.has_value());
-  ServerMetrics stats;
-  const auto docs = SearchEngine(*server_).search(*cap, &stats);
+  BatchMetrics bm;
+  const auto docs = SearchEngine(*server_).search_batch_signed(
+      borrow_capabilities(server_->backend(), {&*cap, 1}), &bm)[0];
+  const ServerMetrics& stats = bm.per_query[0];
   EXPECT_TRUE(stats.authorized);
   EXPECT_EQ(stats.scanned, 4u);
   // Diabetes at Hospital A: bob and carol, not dave (flu) or erin (B).
@@ -81,8 +83,10 @@ TEST_F(CloudTest, AuthorizedSearchReturnsMatchingDocs) {
 TEST_F(CloudTest, UnsignedOrForgedCapabilityRejected) {
   // Capability minted by an unregistered authority ("TA" not registered).
   const auto rogue = ta_.issue(q3(), rng_);
-  ServerMetrics stats;
-  const auto docs = SearchEngine(*server_).search(rogue, &stats);
+  BatchMetrics bm;
+  const auto docs = SearchEngine(*server_).search_batch_signed(
+      borrow_capabilities(server_->backend(), {&rogue, 1}), &bm)[0];
+  const ServerMetrics& stats = bm.per_query[0];
   EXPECT_FALSE(stats.authorized);
   EXPECT_TRUE(docs.empty());
   EXPECT_EQ(stats.scanned, 0u);

@@ -42,6 +42,7 @@
 #include "core/apks_backend.h"
 #include "data/nursery.h"
 #include "data/workload.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -123,8 +124,9 @@ HealthEnv& env() {
 std::vector<std::string> single_node_search() {
   CloudServer server(env().backend, env().verifier);
   (void)server.load_from(*env().store);
-  return SearchEngine(server, {.threads = 1})
-      .search_batch_unchecked_any({&env().query, 1})[0];
+  return serve(SearchEngine(server, {.threads = 1}),
+               {.queries = {&env().query, 1}})
+      .refs[0];
 }
 
 struct Fleet {

@@ -45,6 +45,7 @@
 #include "data/workload.h"
 #include "mrqed/mrqed_backend.h"
 #include "net/client.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -183,12 +184,10 @@ std::vector<std::string> single_node_search(const SchemeRig& rig,
                                             ServerMetrics* metrics = nullptr) {
   CloudServer server(*rig.backend, env().verifier);
   (void)server.load_from(*rig.store);
-  BatchMetrics batch;
-  std::vector<std::string> refs =
-      SearchEngine(server, {.threads = 1})
-          .search_batch_unchecked_any({&rig.query, 1}, &batch)[0];
-  if (metrics != nullptr) *metrics = batch.per_query[0];
-  return refs;
+  SearchReply reply =
+      serve(SearchEngine(server, {.threads = 1}), {.queries = {&rig.query, 1}});
+  if (metrics != nullptr) *metrics = reply.metrics.per_query[0];
+  return std::move(reply.refs[0]);
 }
 
 // A running 3-node loopback cluster plus the map (with bound ports) a

@@ -110,9 +110,11 @@ TEST_F(SystemIntegrationTest, FullApksPlusDeployment) {
 
   // --- Server verifies and scans (sequentially and in parallel). ---------
   const SearchEngine engine(server, {.threads = 1});
-  ServerMetrics stats;
-  const auto docs = engine.search(*cap, &stats);
-  EXPECT_TRUE(stats.authorized);
+  const std::vector<SignedQuery> query =
+      borrow_capabilities(server.backend(), {&*cap, 1});
+  BatchMetrics bm;
+  const auto docs = engine.search_batch_signed(query, &bm)[0];
+  EXPECT_TRUE(bm.per_query[0].authorized);
   // bob: diabetic Male at Hospital A in window -> match.
   // carol: Female (ward scope excludes) -> no.
   // dave: Hospital B (LTA scope excludes) -> no.
@@ -120,7 +122,7 @@ TEST_F(SystemIntegrationTest, FullApksPlusDeployment) {
   ASSERT_EQ(docs.size(), 1u);
   EXPECT_EQ(docs[0], "bob");
   EXPECT_EQ(SearchEngine(server, {.threads = 3, .block_records = 1})
-                .search(*cap),
+                .search_batch_signed(query)[0],
             docs);
 
   // --- The policy refuses overly broad requests. --------------------------
@@ -136,8 +138,9 @@ TEST_F(SystemIntegrationTest, FullApksPlusDeployment) {
   hospital_b->register_user("nurse", nurse);
   const auto cap_b = hospital_b->delegate_for_user("nurse", q6(), rng_);
   ASSERT_TRUE(cap_b.has_value());
-  const auto docs_b = engine.search(*cap_b, &stats);
-  EXPECT_TRUE(stats.authorized);
+  const auto docs_b = engine.search_batch_signed(
+      borrow_capabilities(server.backend(), {&*cap_b, 1}), &bm)[0];
+  EXPECT_TRUE(bm.per_query[0].authorized);
   ASSERT_EQ(docs_b.size(), 1u);  // only dave is at Hospital B
   EXPECT_EQ(docs_b[0], "dave");
 

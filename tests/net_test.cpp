@@ -42,6 +42,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "serve.h"
 
 namespace apks {
 namespace {
@@ -167,8 +168,9 @@ void expect_loopback_equivalent(const CloudServer& server,
   SearchEngine engine(server, {.threads = 2, .block_records = 2});
   const SearchBackend& backend = server.backend();
 
-  BatchMetrics bm;
-  const auto local = engine.search_batch_unchecked_any({&query, 1}, &bm);
+  const SearchReply reply = serve(engine, {.queries = {&query, 1}});
+  const auto& local = reply.refs;
+  const BatchMetrics& bm = reply.metrics;
   ASSERT_EQ(local.size(), 1u);
 
   NetServer net(engine, unchecked_options());
@@ -224,8 +226,7 @@ TEST_F(NetTest, MrqedLoopbackEquivalence) {
 TEST_F(NetTest, ResultStreamingAcrossChunks) {
   NetEnv& e = env();
   SearchEngine engine(e.mrqed_server, {.threads = 1});
-  const auto local =
-      engine.search_batch_unchecked_any({&e.mrqed_query, 1}, nullptr);
+  const auto local = serve(engine, {.queries = {&e.mrqed_query, 1}}).refs;
   ASSERT_GE(local[0].size(), 2u);
 
   NetServerOptions opts = unchecked_options();
@@ -259,9 +260,9 @@ TEST_F(NetTest, ReauthSwapsTheSessionDigestWithTheQuery) {
           .cap);
   const SearchEngine oracle(e.apks_server, {.threads = 1, .cache_capacity = 0});
   const std::vector<std::string> want_a =
-      oracle.search_batch_unchecked_any({&qa, 1})[0];
+      serve(oracle, {.queries = {&qa, 1}}).refs[0];
   const std::vector<std::string> want_b =
-      oracle.search_batch_unchecked_any({&qb, 1})[0];
+      serve(oracle, {.queries = {&qb, 1}}).refs[0];
   ASSERT_NE(want_a, want_b);
 
   for (const bool sharded : {false, true}) {
@@ -700,7 +701,7 @@ TEST_F(NetTest, DeadlineAndOverloadSurfaceAsDistinctWireStatuses) {
       e.apks_backend.encode_query(e.apks_query);
 
   // Fault-free reference for prefix comparison.
-  const auto full = engine.search_batch_unchecked_any({&e.apks_query, 1});
+  const auto full = serve(engine, {.queries = {&e.apks_query, 1}}).refs;
 
   // Each scan block stalls 30 ms (6 records, 1 per block: ~180 ms/scan).
   FailpointPolicy slow;

@@ -4,6 +4,7 @@
 
 #include "cloud/search_engine.h"
 #include "cloud/server.h"
+#include "serve.h"
 
 namespace apks {
 namespace {
@@ -132,21 +133,24 @@ class ParallelScanTest : public ::testing::Test {
 
 TEST_F(ParallelScanTest, ParallelMatchesSequential) {
   const auto cap = ta_.issue(q3(QueryTerm::equals("Diabetes")), rng_);
-  const std::span<const Capability> one(&cap.cap, 1);
-  BatchMetrics seq_stats, par_stats;
-  const auto seq = SearchEngine(*server_, {.threads = 1})
-                       .search_batch_unchecked(one, &seq_stats);
+  const AnyQuery one = borrow_capability(server_->backend(), cap.cap);
+  const SearchReply seq =
+      serve(SearchEngine(*server_, {.threads = 1}), {.queries = {&one, 1}});
+  const BatchMetrics& seq_stats = seq.metrics;
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    const auto par = SearchEngine(*server_,
-                                  {.threads = threads, .block_records = 1})
-                         .search_batch_unchecked(one, &par_stats);
-    EXPECT_EQ(par, seq) << threads;  // same order, same contents
+    const SearchReply par =
+        serve(SearchEngine(*server_, {.threads = threads, .block_records = 1}),
+              {.queries = {&one, 1}});
+    const BatchMetrics& par_stats = par.metrics;
+    EXPECT_EQ(par.refs, seq.refs) << threads;  // same order, same contents
     EXPECT_EQ(par_stats.per_query[0].scanned, seq_stats.per_query[0].scanned);
     EXPECT_EQ(par_stats.per_query[0].matched, seq_stats.per_query[0].matched);
   }
   // threads == 0 resolves to hardware concurrency.
-  EXPECT_EQ(SearchEngine(*server_, {.threads = 0}).search_batch_unchecked(one),
-            seq);
+  EXPECT_EQ(serve(SearchEngine(*server_, {.threads = 0}),
+                  {.queries = {&one, 1}})
+                .refs,
+            seq.refs);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "cloud/server.h"
 #include "common/failpoint.h"
 #include "store/sharded_store.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -77,6 +78,12 @@ class SearchEngineTest : public ::testing::Test {
     return out;
   }
 
+  // The engine's view of typed capabilities; the handles borrow `caps`.
+  [[nodiscard]] std::vector<SignedQuery> signed_queries(
+      std::span<const SignedCapability> caps) const {
+    return borrow_capabilities(server_->backend(), caps);
+  }
+
   [[nodiscard]] SignedCapability issue(const Query& q) {
     auto cap = lta_->delegate_for_user("peter", q, rng_);
     EXPECT_TRUE(cap.has_value());
@@ -102,7 +109,7 @@ TEST_F(SearchEngineTest, BatchMatchesIndependentSearches) {
 
   SearchEngine engine(*server_, {.threads = 2, .block_records = 2});
   BatchMetrics metrics;
-  const auto batch = engine.search_batch(caps, &metrics);
+  const auto batch = engine.search_batch_signed(signed_queries(caps), &metrics);
 
   ASSERT_EQ(batch.size(), caps.size());
   ASSERT_EQ(metrics.per_query.size(), caps.size());
@@ -124,8 +131,10 @@ TEST_F(SearchEngineTest, BatchMatchesIndependentSearches) {
 TEST_F(SearchEngineTest, UnauthorizedQueryIsNeverScanned) {
   const SignedCapability forged = ta_.issue(q3(), rng_);
   SearchEngine engine(*server_);
-  ServerMetrics m;
-  const auto docs = engine.search(forged, &m);
+  BatchMetrics bm;
+  const auto docs =
+      engine.search_batch_signed(signed_queries({&forged, 1}), &bm)[0];
+  const ServerMetrics& m = bm.per_query[0];
   EXPECT_TRUE(docs.empty());
   EXPECT_FALSE(m.authorized);
   EXPECT_EQ(m.scanned, 0u);
@@ -141,7 +150,7 @@ TEST_F(SearchEngineTest, RepeatedCapabilitySkipsPreprocessing) {
 
   SearchEngine engine(*server_, {.threads = 2});
   BatchMetrics metrics;
-  const auto batch = engine.search_batch(caps, &metrics);
+  const auto batch = engine.search_batch_signed(signed_queries(caps), &metrics);
 
   EXPECT_EQ(metrics.prepare_calls, 1u);  // one miss, Q-1 hits
   EXPECT_EQ(metrics.cache_hits, caps.size() - 1);
@@ -149,7 +158,7 @@ TEST_F(SearchEngineTest, RepeatedCapabilitySkipsPreprocessing) {
 
   // A later batch with the same capability hits the cache across batches.
   BatchMetrics again;
-  (void)engine.search_batch({&cap, 1}, &again);
+  (void)engine.search_batch_signed(signed_queries({&cap, 1}), &again);
   EXPECT_EQ(again.prepare_calls, 0u);
   EXPECT_EQ(again.cache_hits, 1u);
   EXPECT_EQ(engine.cache_misses(), 1u);
@@ -169,7 +178,7 @@ TEST_F(SearchEngineTest, DeterministicAcrossThreadAndBlockCounts) {
     for (const std::size_t block : {1u, 3u, 16u}) {
       SearchEngine engine(*server_,
                           {.threads = threads, .block_records = block});
-      EXPECT_EQ(engine.search_batch(caps), expect)
+      EXPECT_EQ(engine.search_batch_signed(signed_queries(caps)), expect)
           << "threads=" << threads << " block=" << block;
     }
   }
@@ -178,8 +187,10 @@ TEST_F(SearchEngineTest, DeterministicAcrossThreadAndBlockCounts) {
 TEST_F(SearchEngineTest, MetricsReportPairingWork) {
   const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
   SearchEngine engine(*server_, {.threads = 1});
-  ServerMetrics m;
-  const auto docs = engine.search(cap, &m);
+  BatchMetrics bm;
+  const auto docs =
+      engine.search_batch_signed(signed_queries({&cap, 1}), &bm)[0];
+  const ServerMetrics& m = bm.per_query[0];
   // Diabetes at Hospital A (LTA scope): bob and carol, not erin (B).
   EXPECT_EQ(docs.size(), 2u);
   EXPECT_TRUE(m.authorized);
@@ -197,40 +208,48 @@ TEST_F(SearchEngineTest, VerifiedParallelServerPathChecksSignature) {
   const SignedCapability forged = ta_.issue(q3(), rng_);
   SearchEngine engine(*server_, {.threads = 3, .block_records = 1});
 
-  ServerMetrics m;
-  const auto docs = engine.search(good, &m);
-  EXPECT_TRUE(m.authorized);
-  EXPECT_EQ(m.scanned, server_->record_count());
+  BatchMetrics bm;
+  const auto docs =
+      engine.search_batch_signed(signed_queries({&good, 1}), &bm)[0];
+  EXPECT_TRUE(bm.per_query[0].authorized);
+  EXPECT_EQ(bm.per_query[0].scanned, server_->record_count());
   EXPECT_EQ(docs, reference(good));
 
   // Stale values in the caller's struct must not leak through either layer.
+  ServerMetrics& m = bm.per_query[0];
   m.authorized = true;
   m.scanned = 999;
   m.matched = 999;
-  const auto rejected = engine.search(forged, &m);
+  const auto rejected =
+      engine.search_batch_signed(signed_queries({&forged, 1}), &bm)[0];
   EXPECT_TRUE(rejected.empty());
-  EXPECT_FALSE(m.authorized);
-  EXPECT_EQ(m.scanned, 0u);
-  EXPECT_EQ(m.matched, 0u);
+  EXPECT_FALSE(bm.per_query[0].authorized);
+  EXPECT_EQ(bm.per_query[0].scanned, 0u);
+  EXPECT_EQ(bm.per_query[0].matched, 0u);
 }
 
 TEST_F(SearchEngineTest, StatsLayersFillOnlyTheirOwnFields) {
   const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
   SearchEngine engine(*server_, {.threads = 1});
-  ServerMetrics m;
+  BatchMetrics signed_bm;
+  signed_bm.per_query.resize(1);
+  ServerMetrics& m = signed_bm.per_query[0];
   m.authorized = true;
   m.scanned = 999;
   m.matched = 999;
-  (void)engine.search(cap, &m);
-  EXPECT_TRUE(m.authorized);
-  EXPECT_EQ(m.scanned, server_->record_count());
+  (void)engine.search_batch_signed(signed_queries({&cap, 1}), &signed_bm);
+  EXPECT_TRUE(signed_bm.per_query[0].authorized);
+  EXPECT_EQ(signed_bm.per_query[0].scanned, server_->record_count());
 
-  // The unchecked scan never runs the authorization layer, so authorized
+  // The admitted path never runs the authorization layer, so authorized
   // stays false while the scan layer fills scanned.
-  BatchMetrics bm;
-  (void)engine.search_batch_unchecked({&cap.cap, 1}, &bm);
-  EXPECT_FALSE(bm.per_query[0].authorized);
-  EXPECT_EQ(bm.per_query[0].scanned, server_->record_count());
+  const AnyQuery query = borrow_capability(server_->backend(), cap.cap);
+  SearchReply reply;
+  reply.metrics.per_query.resize(1);
+  reply.metrics.per_query[0].authorized = true;
+  engine.serve_admitted({.queries = {&query, 1}}, reply);
+  EXPECT_FALSE(reply.metrics.per_query[0].authorized);
+  EXPECT_EQ(reply.metrics.per_query[0].scanned, server_->record_count());
 }
 
 // A single search stopped by its deadline throws with the caller's metrics
@@ -246,9 +265,13 @@ TEST_F(SearchEngineTest, SingleSearchFillsMetricsWhenItThrows) {
   Failpoints::instance().set("engine.scan_block", slow);
   ServeControl tight;
   tight.deadline_ms = 25;
-  ServerMetrics m;
-  EXPECT_THROW((void)engine.search(cap, &m, tight), DeadlineExceeded);
+  BatchMetrics bm;
+  EXPECT_THROW(
+      (void)engine.search_batch_signed(signed_queries({&cap, 1}), &bm, tight),
+      DeadlineExceeded);
   Failpoints::instance().clear_all();
+  ASSERT_EQ(bm.per_query.size(), 1u);
+  const ServerMetrics& m = bm.per_query[0];
   EXPECT_TRUE(m.authorized);
   EXPECT_TRUE(m.deadline_exceeded);
   EXPECT_FALSE(m.cancelled);
@@ -283,7 +306,7 @@ TEST_F(SearchEngineTest, StoppedBeforePrepareFlagsEveryServedQuery) {
   partial.cancel = &cancel;
   partial.partial_ok = true;
   BatchMetrics pm;
-  const auto out = engine.search_batch(caps, &pm, partial);
+  const auto out = engine.search_batch_signed(signed_queries(caps), &pm, partial);
   for (const auto& docs : out) EXPECT_TRUE(docs.empty());
   expect_flags(pm, "partial_ok");
 
@@ -291,7 +314,7 @@ TEST_F(SearchEngineTest, StoppedBeforePrepareFlagsEveryServedQuery) {
   strict.cancel = &cancel;
   BatchMetrics sm;
   try {
-    (void)engine.search_batch(caps, &sm, strict);
+    (void)engine.search_batch_signed(signed_queries(caps), &sm, strict);
     FAIL() << "cancelled batch must throw";
   } catch (const ServingError& err) {
     EXPECT_EQ(err.code(), ErrorCode::kCancelled);
@@ -308,12 +331,12 @@ TEST_F(SearchEngineTest, DisabledPreparedCacheCountsMissesWithoutCaching) {
 
   SearchEngine engine(*server_, {.threads = 1, .cache_capacity = 0});
   BatchMetrics first;
-  const auto a = engine.search_batch(caps, &first);
+  const auto a = engine.search_batch_signed(signed_queries(caps), &first);
   EXPECT_EQ(first.prepare_calls, caps.size());  // every query re-prepares
   EXPECT_EQ(first.cache_hits, 0u);
 
   BatchMetrics second;
-  const auto b = engine.search_batch(caps, &second);
+  const auto b = engine.search_batch_signed(signed_queries(caps), &second);
   EXPECT_EQ(second.prepare_calls, caps.size());
   EXPECT_EQ(second.cache_hits, 0u);
   EXPECT_EQ(a, b);
@@ -357,6 +380,7 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   SearchEngine engine(server, opts);
   ASSERT_NE(engine.verdict_cache(), nullptr);
   const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
+  const std::vector<SignedQuery> query = signed_queries({&cap, 1});
 
   // (a) Cancelled before any work: nothing may be memoized.
   std::atomic<bool> cancel{true};
@@ -364,7 +388,7 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   ctl.cancel = &cancel;
   ctl.partial_ok = true;
   BatchMetrics cm;
-  (void)engine.search_batch({&cap, 1}, &cm, ctl);
+  (void)engine.search_batch_signed(query, &cm, ctl);
   EXPECT_TRUE(cm.cancelled);
   EXPECT_EQ(cm.verdict_puts, 0u);
   EXPECT_EQ(engine.verdict_cache()->stats().insertions, 0u);
@@ -379,7 +403,7 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   tight.deadline_ms = 40;
   tight.partial_ok = true;
   BatchMetrics dm;
-  (void)engine.search_batch({&cap, 1}, &dm, tight);
+  (void)engine.search_batch_signed(query, &dm, tight);
   Failpoints::instance().clear_all();
   EXPECT_TRUE(dm.deadline_exceeded);
   EXPECT_LT(dm.per_query[0].scanned, server.record_count());
@@ -389,10 +413,10 @@ TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   // (c) A complete pass memoizes, and the repeat resolves from the cache
   // with byte-identical results.
   BatchMetrics full;
-  const auto want = engine.search_batch({&cap, 1}, &full);
+  const auto want = engine.search_batch_signed(query, &full);
   EXPECT_GT(full.verdict_puts, 0u);
   BatchMetrics hot;
-  const auto got = engine.search_batch({&cap, 1}, &hot);
+  const auto got = engine.search_batch_signed(query, &hot);
   EXPECT_EQ(got, want);
   EXPECT_GT(hot.verdict_hits, 0u);
   EXPECT_EQ(hot.verdict_puts, 0u);
@@ -442,12 +466,13 @@ TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
   const std::vector<AnyQuery> both = {qa, qb};
   const std::vector<QueryDigest> digests = {backend.digest(qa),
                                             backend.digest(qb)};
-  const auto want = oracle.search_batch_unchecked_any(both);
+  const auto want = serve(oracle, {.queries = both}).refs;
   ASSERT_NE(want[0], want[1]);
 
   // Cold: every segment is unmemoized, so the configured workers scan.
-  BatchMetrics cold;
-  EXPECT_EQ(engine.search_batch_unchecked_any({&qa, 1}, &cold)[0], want[0]);
+  const SearchReply cold_reply = serve(engine, {.queries = {&qa, 1}});
+  const BatchMetrics& cold = cold_reply.metrics;
+  EXPECT_EQ(cold_reply.refs[0], want[0]);
   EXPECT_EQ(cold.threads, 2u);
   EXPECT_GT(cold.ops.final_exp, 0u);
   EXPECT_EQ(cold.verdict_puts, server.segment_table().size());
@@ -455,12 +480,13 @@ TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
   // Hot: the verdict cache answers every record — calling thread, zero
   // pairings — with and without the digest supplied.
   for (const bool supplied : {false, true}) {
-    BatchMetrics hot;
-    const auto got = engine.search_batch_unchecked_any(
-        {&qa, 1}, &hot, {},
-        supplied ? std::span<const QueryDigest>(digests.data(), 1)
-                 : std::span<const QueryDigest>());
-    EXPECT_EQ(got[0], want[0]) << "supplied=" << supplied;
+    const SearchReply reply = serve(
+        engine,
+        {.queries = {&qa, 1},
+         .digests = supplied ? std::span<const QueryDigest>(digests.data(), 1)
+                             : std::span<const QueryDigest>()});
+    const BatchMetrics& hot = reply.metrics;
+    EXPECT_EQ(reply.refs[0], want[0]) << "supplied=" << supplied;
     EXPECT_EQ(hot.threads, 1u) << "supplied=" << supplied;
     EXPECT_EQ(hot.verdict_hits, 4u) << "supplied=" << supplied;
     EXPECT_EQ(hot.ops.miller + hot.ops.multi_miller + hot.ops.final_exp, 0u)
@@ -469,14 +495,12 @@ TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
 
   // One memoized and one unmemoized query in a batch: pairing work is
   // left, so the workers come back; the ids path agrees with the plain one.
-  BatchMetrics mixed;
-  std::vector<std::vector<std::uint64_t>> ids;
-  const auto got_mixed = engine.search_batch_unchecked_any_ids(
-      both, &ids, &mixed, {}, digests);
-  EXPECT_EQ(got_mixed, want);
-  EXPECT_EQ(mixed.threads, 2u);
-  EXPECT_EQ(ids[0].size(), want[0].size());
-  EXPECT_EQ(ids[1].size(), want[1].size());
+  const SearchReply mixed =
+      serve(engine, {.queries = both, .digests = digests, .want_ids = true});
+  EXPECT_EQ(mixed.refs, want);
+  EXPECT_EQ(mixed.metrics.threads, 2u);
+  EXPECT_EQ(mixed.ids[0].size(), want[0].size());
+  EXPECT_EQ(mixed.ids[1].size(), want[1].size());
 
   // An unsealed tail record is always scanned live, even when every sealed
   // segment is memoized for every query.
@@ -485,19 +509,19 @@ TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
                                                  "Hospital C"}},
                                      rng_),
                      "doc-gil");
-  const auto want_tail = oracle.search_batch_unchecked_any(both);
-  BatchMetrics tail;
-  EXPECT_EQ(engine.search_batch_unchecked_any(both, &tail, {}, digests),
-            want_tail);
+  const auto want_tail = serve(oracle, {.queries = both}).refs;
+  const SearchReply tail_reply =
+      serve(engine, {.queries = both, .digests = digests});
+  const BatchMetrics& tail = tail_reply.metrics;
+  EXPECT_EQ(tail_reply.refs, want_tail);
   EXPECT_EQ(tail.threads, 2u);
   EXPECT_EQ(tail.verdict_hits, 2 * 4u);
   EXPECT_GT(tail.ops.final_exp, 0u);
 
   // A digest span that does not cover the batch is a caller error.
-  EXPECT_THROW((void)engine.search_batch_unchecked_any(
-                   both, nullptr, {},
-                   std::span<const QueryDigest>(digests.data(), 1)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)serve(engine, {.queries = both, .digests = {digests.data(), 1}}),
+      std::invalid_argument);
 }
 
 // The lifetime counters are snapshotted under one lock; concurrent batches
@@ -505,6 +529,7 @@ TEST_F(SearchEngineTest, VerdictCachedBatchRunsOnTheCallingThread) {
 // view would undercount one field while overcounting another).
 TEST_F(SearchEngineTest, CountersSnapshotAddsUpUnderConcurrency) {
   const SignedCapability cap = issue(q3(QueryTerm::equals("Diabetes")));
+  const std::vector<SignedQuery> query = signed_queries({&cap, 1});
   SearchEngine engine(*server_, {.threads = 1});
 
   constexpr int kBatches = 3;
@@ -512,11 +537,11 @@ TEST_F(SearchEngineTest, CountersSnapshotAddsUpUnderConcurrency) {
   std::vector<std::thread> pool;
   for (int t = 0; t < kBatches; ++t) {
     pool.emplace_back([&] {
-      (void)engine.search_batch({&cap, 1});  // served
+      (void)engine.search_batch_signed(query);  // served
       ServeControl ctl;
       ctl.cancel = &cancel;
       ctl.partial_ok = true;
-      (void)engine.search_batch({&cap, 1}, nullptr, ctl);  // cancelled
+      (void)engine.search_batch_signed(query, nullptr, ctl);  // cancelled
       const EngineCounters mid = engine.counters();  // racing snapshot
       EXPECT_LE(mid.served + mid.cancelled, 2u * kBatches);
     });
@@ -545,8 +570,9 @@ TEST_F(SearchEngineTest, ConcurrentStoreAndSearchAreSerialized) {
     (void)server_->store(std::move(extra), "doc-late");
   });
   for (int i = 0; i < 3; ++i) {
-    ServerMetrics m;
-    (void)engine.search(cap, &m);
+    BatchMetrics bm;
+    (void)engine.search_batch_signed(signed_queries({&cap, 1}), &bm);
+    const ServerMetrics& m = bm.per_query[0];
     EXPECT_TRUE(m.authorized);
     EXPECT_TRUE(m.scanned == before || m.scanned == before + 1);
   }

@@ -17,6 +17,7 @@
 #include "data/nursery.h"
 #include "data/workload.h"
 #include "store/sharded_store.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -88,11 +89,16 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   caps.push_back(ta.issue(nursery_point_query(*stored[3]), rng));
   caps.push_back(ta.issue(nursery_point_query(*stored[17]), rng));
   caps.push_back(ta.issue(nursery_worst_case_query(1, rng), rng));
+  const std::vector<SignedQuery> queries =
+      borrow_capabilities(pre_crash.backend(), caps);
   std::vector<std::vector<std::string>> pre_results;
   std::vector<ServerMetrics> pre_stats(caps.size());
   const SearchEngine pre_engine(pre_crash);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    pre_results.push_back(pre_engine.search(caps[i], &pre_stats[i]));
+    BatchMetrics bm;
+    pre_results.push_back(
+        pre_engine.search_batch_signed({&queries[i], 1}, &bm)[0]);
+    pre_stats[i] = bm.per_query[0];
   }
   ASSERT_FALSE(pre_results[0].empty());  // point query hits its row
 
@@ -121,8 +127,11 @@ TEST_F(StoreRecoveryTest, TornWriteRecoveryMatchesPreCrashServer) {
   EXPECT_EQ(restarted.load_from(recovered), kRecords);
   const SearchEngine restarted_engine(restarted);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    ServerMetrics stats;
-    EXPECT_EQ(restarted_engine.search(caps[i], &stats), pre_results[i]) << i;
+    BatchMetrics bm;
+    EXPECT_EQ(restarted_engine.search_batch_signed({&queries[i], 1}, &bm)[0],
+              pre_results[i])
+        << i;
+    const ServerMetrics& stats = bm.per_query[0];
     EXPECT_EQ(stats.authorized, pre_stats[i].authorized);
     EXPECT_EQ(stats.scanned, pre_stats[i].scanned);
     EXPECT_EQ(stats.matched, pre_stats[i].matched);
@@ -178,11 +187,16 @@ TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
   caps.push_back(
       ta.issue(nursery_point_query(rows[(7 * 433) % rows.size()]), rng));
   caps.push_back(ta.issue(nursery_worst_case_query(1, rng), rng));
+  const std::vector<SignedQuery> queries =
+      borrow_capabilities(pre_crash.backend(), caps);
   std::vector<std::vector<std::string>> pre_results;
   std::vector<ServerMetrics> pre_stats(caps.size());
   const SearchEngine pre_engine(pre_crash);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    pre_results.push_back(pre_engine.search(caps[i], &pre_stats[i]));
+    BatchMetrics bm;
+    pre_results.push_back(
+        pre_engine.search_batch_signed({&queries[i], 1}, &bm)[0]);
+    pre_stats[i] = bm.per_query[0];
   }
   ASSERT_FALSE(pre_results[0].empty());  // the transformed index matches
 
@@ -205,8 +219,11 @@ TEST_F(StoreRecoveryTest, ApksPlusRestartServesIdenticalResults) {
   EXPECT_EQ(restarted.load_from(recovered), kRecords);
   const SearchEngine restarted_engine(restarted);
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    ServerMetrics stats;
-    EXPECT_EQ(restarted_engine.search(caps[i], &stats), pre_results[i]) << i;
+    BatchMetrics bm;
+    EXPECT_EQ(restarted_engine.search_batch_signed({&queries[i], 1}, &bm)[0],
+              pre_results[i])
+        << i;
+    const ServerMetrics& stats = bm.per_query[0];
     EXPECT_EQ(stats.authorized, pre_stats[i].authorized);
     EXPECT_EQ(stats.scanned, pre_stats[i].scanned);
     EXPECT_EQ(stats.matched, pre_stats[i].matched);
@@ -254,8 +271,10 @@ TEST_F(StoreRecoveryTest, VerdictCacheEquivalentAcrossCrashAndCompaction) {
   auto check_equivalent = [&](CloudServer& server, const char* what) {
     const SearchEngine cached(server, copts);
     const SearchEngine plain(server);
-    const auto want = plain.search_batch_unchecked(caps);
-    const auto got = cached.search_batch_unchecked(caps);
+    const std::vector<AnyQuery> queries =
+        borrow_capabilities(server.backend(), caps);
+    const auto want = serve(plain, {.queries = queries}).refs;
+    const auto got = serve(cached, {.queries = queries}).refs;
     ASSERT_EQ(got.size(), want.size()) << what;
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << what << " query " << i;

@@ -18,6 +18,7 @@
 #include "core/serialize_apks.h"
 #include "store/index_store.h"
 #include "store/sharded_store.h"
+#include "serve.h"
 #include "test_dir.h"
 
 namespace apks {
@@ -355,12 +356,13 @@ TEST_F(ShardedStoreTest, ServerRestartIsByteIdentical) {
 
   const Capability cap = scheme_.gen_cap(
       msk_, Query{{QueryTerm::equals("x"), QueryTerm::any()}}, rng_);
-  BatchMetrics stats_a;
-  BatchMetrics stats_b;
-  const SearchEngine engine_a(original);
-  const SearchEngine engine_b(restarted);
-  EXPECT_EQ(engine_a.search_batch_unchecked({&cap, 1}, &stats_a),
-            engine_b.search_batch_unchecked({&cap, 1}, &stats_b));
+  const AnyQuery query = borrow_capability(backend_, cap);
+  const SearchReply a = serve(SearchEngine(original), {.queries = {&query, 1}});
+  const SearchReply b =
+      serve(SearchEngine(restarted), {.queries = {&query, 1}});
+  const BatchMetrics& stats_a = a.metrics;
+  const BatchMetrics& stats_b = b.metrics;
+  EXPECT_EQ(a.refs, b.refs);
   EXPECT_EQ(stats_a.per_query[0].scanned, stats_b.per_query[0].scanned);
   EXPECT_EQ(stats_a.per_query[0].matched, stats_b.per_query[0].matched);
 

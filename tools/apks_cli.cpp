@@ -572,9 +572,9 @@ int cmd_search(const Runtime& rt, const Args& a) {
   return 0;
 }
 
-void print_batch(const Args& a,
-                 const std::vector<std::vector<std::string>>& results,
-                 const BatchMetrics& metrics) {
+void print_batch(const Args& a, const SearchReply& reply) {
+  const auto& results = reply.refs;
+  const BatchMetrics& metrics = reply.metrics;
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::printf("%s: %zu / %zu matched\n", a.caps[i].c_str(),
                 results[i].size(), metrics.records);
@@ -607,8 +607,8 @@ int cmd_batchsearch(Runtime& rt, const Args& a) {
     die("batchsearch needs --caps FILE[,FILE...] and at least one index file");
   }
   // The CLI works with raw capability/key files (no authority signatures),
-  // so the server's verifier is a stub and the engine runs the unchecked
-  // path.
+  // so the server's verifier is a stub and the engine serves them as
+  // admitted.
   CloudServer server(*rt.backend,
                      CapabilityVerifier(*rt.e, IbsPublicParams{}));
   for (const auto& path : a.positional) {
@@ -616,9 +616,9 @@ int cmd_batchsearch(Runtime& rt, const Args& a) {
   }
   const std::vector<AnyQuery> queries = load_query_files(rt, a);
   SearchEngine engine(server, {.threads = a.threads});
-  BatchMetrics metrics;
-  const auto results = engine.search_batch_unchecked_any(queries, &metrics);
-  print_batch(a, results, metrics);
+  SearchReply reply;
+  engine.serve_admitted({.queries = queries}, reply);
+  print_batch(a, reply);
   return 0;
 }
 
@@ -1043,12 +1043,12 @@ int cmd_serve(Runtime& rt, const Args& a) {
   if (!a.listen.empty()) return serve_listen(engine, a);
 
   const std::vector<AnyQuery> queries = load_query_files(rt, a);
-  BatchMetrics metrics;
-  ServeControl control;
-  control.partial_ok = true;  // CLI: report truncation instead of throwing
-  const auto results =
-      engine.search_batch_unchecked_any(queries, &metrics, control);
-  print_batch(a, results, metrics);
+  SearchReply reply;
+  // CLI: report truncation instead of throwing.
+  engine.serve_admitted({.queries = queries, .control = {.partial_ok = true}},
+                        reply);
+  print_batch(a, reply);
+  const BatchMetrics& metrics = reply.metrics;
   if (metrics.deadline_exceeded) {
     std::printf("DEADLINE: scan stopped after %" PRIu64
                 " ms; results cover %zu of %zu records\n",

@@ -107,6 +107,26 @@ if [[ $STAGE == all ]]; then
     echo "src/store/ searches records; searching belongs to SearchEngine"
     exit 1
   fi
+  # SearchEngine's search surface: search_batch_signed (verifies),
+  # serve_admitted (authorized out of band) and the one
+  # search_batch_unchecked_any wrapper the end-to-end benchmark calls.
+  engine_search=$(grep -v '^\s*//' src/cloud/search_engine.h |
+    grep -oE '\b(search|serve)(_[a-z_]+)?\(' | sort | uniq -c |
+    grep -vxE ' *1 (search_batch_signed|serve_admitted|search_batch_unchecked_any)\(' ||
+    true)
+  if [[ -n "$engine_search" ]]; then
+    echo "src/cloud/search_engine.h declares search members beyond" \
+         "search_batch_signed, serve_admitted and one" \
+         "search_batch_unchecked_any:"
+    echo "$engine_search"
+    exit 1
+  fi
+  if grep -rnE --exclude=ci.sh \
+       'search_batch_unchecked_any_ids|search_batch_unchecked\(|search_batch\(' \
+       src tools bench tests examples; then
+    echo "a deleted SearchEngine entry point is still called or named"
+    exit 1
+  fi
 
   echo "=== tier-1: full build + ctest ==="
   configure build
