@@ -133,7 +133,8 @@ void SearchEngine::run_batch(const SearchRequest& request,
                      std::to_string(options_.max_inflight));
   }
 
-  // Authorization: an admitted batch verifies its signatures, if any.
+  // Authorization runs only once the batch is admitted, so a shed batch
+  // has verified nothing.
   const bool checked = !signed_queries.empty();
   std::vector<char> serve(queries.size(), 1);
   for (std::size_t i = 0; i < signed_queries.size(); ++i) {
