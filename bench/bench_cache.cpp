@@ -218,22 +218,21 @@ int main(int argc, char** argv) {
 
   // --- Equivalence under compaction: every segment identity is replaced;
   // the invalidation hook drops the retired verdicts.
-  const VerdictCacheStats before_compact = vcache->stats();
+  const LruStats before_compact = vcache->stats();
   (void)store->compact();
   (void)server.load_from(*store);
   {
     const Results got = serve(engine, queries);
     const Results want = reference_results(server, queries);
     const bool same = same_results(got, want);
-    const VerdictCacheStats after = vcache->stats();
+    const LruStats after = vcache->stats();
     std::printf("after compaction: %s (%" PRIu64 " verdicts invalidated)\n",
                 same ? "identical" : "MISMATCH",
-                after.invalidated - before_compact.invalidated);
+                after.erased - before_compact.erased);
     report.add_row({{"phase", "equiv_compact"},
                     {"identical", same ? 1 : 0},
                     {"invalidated", static_cast<std::size_t>(
-                                        after.invalidated -
-                                        before_compact.invalidated)}});
+                                        after.erased - before_compact.erased)}});
     ok = ok && same;
   }
 
@@ -260,14 +259,14 @@ int main(int argc, char** argv) {
     ok = ok && same;
   }
 
-  const VerdictCacheStats vs = vcache->stats();
+  const LruStats vs = vcache->stats();
   report.add_row({{"phase", "cache_totals"},
                   {"hits", static_cast<std::size_t>(vs.hits)},
                   {"misses", static_cast<std::size_t>(vs.misses)},
                   {"insertions", static_cast<std::size_t>(vs.insertions)},
-                  {"invalidated", static_cast<std::size_t>(vs.invalidated)},
+                  {"invalidated", static_cast<std::size_t>(vs.erased)},
                   {"entries", vs.entries},
-                  {"bytes", static_cast<std::size_t>(vs.bytes)}});
+                  {"bytes", static_cast<std::size_t>(vs.cost)}});
 
   fs::remove_all(dir);
   if (args.json && !report.write(args.json_path)) return 1;

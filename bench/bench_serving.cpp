@@ -187,9 +187,9 @@ void print_row(const char* mode, std::size_t conns, const LoadStats& s) {
 
 void add_row(JsonReport& report, const char* mode, std::size_t conns,
              const LoadStats& s, const SearchEngine& engine) {
-  const VerdictCacheStats vs = engine.verdict_cache() != nullptr
-                                   ? engine.verdict_cache()->stats()
-                                   : VerdictCacheStats{};
+  const LruStats vs = engine.verdict_cache() != nullptr
+                          ? engine.verdict_cache()->stats()
+                          : LruStats{};
   report.add_row({{"mode", mode},
                   {"conns", conns},
                   {"requests", s.latencies_ms.size()},

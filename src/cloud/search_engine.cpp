@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -188,14 +189,14 @@ void SearchEngine::run_batch(const SearchRequest& request,
       digests[i] = request.digests[i];
       assert(digests[i] == backend.digest(queries[i]));
     }
-    AnyPrepared entry = cache_->get(digests[i]);
-    if (!entry.empty()) {
+    if (std::optional<AnyPrepared> hit = cache_->get(digests[i])) {
+      prepared[i] = std::move(*hit);
       m.cache_hit = true;
     } else {
-      entry = cache_->put(digests[i], backend.prepare(queries[i]));
+      prepared[i] = backend.prepare(queries[i]);
+      cache_->put(digests[i], prepared[i]);
       m.prepare_calls = 1;
     }
-    prepared[i] = std::move(entry);
     active.push_back(i);
     m.ops += pairing.op_counts() - c0;
     m.wall_s += seconds_since(t0);

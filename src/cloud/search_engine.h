@@ -9,20 +9,22 @@
 //   1. claim an in-flight slot (admission control), then verify every
 //      authority signature up front (unauthorized queries are never
 //      scanned),
-//   2. preprocess each query once (SearchBackend::prepare), consulting an
-//      LRU cache keyed by the backend's query digest so repeated identical
-//      queries — the hot-key case — skip preprocessing entirely (a caller
-//      that already holds the digest, like a network session, passes it in
-//      and the query is not re-hashed),
+//   2. preprocess each query once (SearchBackend::prepare), consulting the
+//      PreparedQueryCache, an entry-count BoundedLru keyed by the backend's
+//      query digest, so repeated identical queries — the hot-key case —
+//      skip preprocessing entirely (a caller that already holds the digest,
+//      like a network session, passes it in and the query is not
+//      re-hashed),
 //   3. scan records in blocks, evaluating every query against a block
 //      while it is cache-hot, with a work-stealing pool of worker threads
 //      shared across all queries of the batch (the paper's remark that the
 //      linear scan parallelizes across server cores). Records tagged with a
 //      sealed-segment identity (CloudServer::load_from) are first resolved
-//      against the per-segment verdict cache (verdict_cache.h): a memoized
-//      (digest, segment) verdict answers the record with a binary search
-//      instead of a pairing product, and a complete (non-partial,
-//      non-cancelled) scan memoizes the verdicts it just computed. A batch
+//      against the per-segment verdict cache (verdict_cache.h, a
+//      byte-budget BoundedLru): a memoized (digest, segment) verdict
+//      answers the record with a binary search instead of a pairing
+//      product, and a complete (non-partial, non-cancelled) scan memoizes
+//      the verdicts it just computed. A batch
 //      the verdict cache answers entirely runs on the calling thread: the
 //      worker count follows the pairing work left after the probe.
 //
@@ -50,9 +52,10 @@
 #include <span>
 #include <vector>
 
-#include "cloud/prepared_cache.h"
 #include "cloud/server.h"
 #include "cloud/verdict_cache.h"
+#include "common/bounded_lru.h"
+#include "core/capability_digest.h"
 
 namespace apks {
 
@@ -132,6 +135,13 @@ struct SearchReply {
   BatchMetrics metrics;
 };
 
+// Server-side query preprocessing (SearchBackend::prepare output) keyed by
+// the backend's query digest, one entry per query. Entries are AnyPrepared
+// handles (shared ownership), so an eviction never invalidates a prepared
+// query a scan is still using.
+using PreparedQueryCache =
+    BoundedLru<QueryDigest, AnyPrepared, CapabilityDigestHash>;
+
 class SearchEngine {
  public:
   struct Options {
@@ -142,7 +152,8 @@ class SearchEngine {
     // Also the deadline/cancellation granularity: controls are polled at
     // block boundaries only.
     std::size_t block_records = 8;
-    // LRU capacity of the prepared-query cache; 0 disables caching.
+    // LRU capacity of the prepared-query cache; 0 disables caching (every
+    // lookup is then a counted miss).
     std::size_t cache_capacity = 64;
     // Default per-batch deadline (0 = none); a ServeControl with a nonzero
     // deadline_ms overrides it per call.
@@ -215,9 +226,15 @@ class SearchEngine {
 
   // Lifetime prepared-cache counters (across all batches served through
   // this engine's cache — every engine sharing it, when shared).
-  [[nodiscard]] std::size_t cache_hits() const { return cache_->hits(); }
-  [[nodiscard]] std::size_t cache_misses() const { return cache_->misses(); }
-  [[nodiscard]] std::size_t cache_size() const { return cache_->size(); }
+  [[nodiscard]] std::size_t cache_hits() const {
+    return cache_->stats().hits;
+  }
+  [[nodiscard]] std::size_t cache_misses() const {
+    return cache_->stats().misses;
+  }
+  [[nodiscard]] std::size_t cache_size() const {
+    return cache_->stats().entries;
+  }
 
   // The server this engine scans (the network front end reads its record
   // count, backend and verifier through this).

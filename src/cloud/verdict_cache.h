@@ -26,34 +26,25 @@
 // not a correctness requirement: retired ids are simply never probed
 // again once the server reloads.
 //
-// Bounded by a byte budget (entry overhead + 8 bytes per matched id),
-// LRU-evicted, internally locked; get() returns shared ownership so an
-// eviction never invalidates a verdict a scan is still applying.
+// Bounded by a byte budget (entry overhead + 8 bytes per matched id) in a
+// BoundedLru (common/bounded_lru.h): LRU-evicted, internally locked, and
+// get() returns shared ownership so an eviction never invalidates a
+// verdict a scan is still applying.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/bounded_lru.h"
 #include "core/backend.h"
 #include "core/capability_digest.h"
 #include "store/index_store.h"
 
 namespace apks {
-
-struct VerdictCacheStats {
-  std::uint64_t hits = 0;         // get() found a verdict
-  std::uint64_t misses = 0;       // get() found nothing
-  std::uint64_t insertions = 0;   // put() stored a new verdict
-  std::uint64_t evictions = 0;    // entries dropped for the byte budget
-  std::uint64_t invalidated = 0;  // entries dropped by segment retirement
-  std::size_t entries = 0;        // current entry count
-  std::uint64_t bytes = 0;        // current charged bytes
-};
 
 class VerdictCache {
  public:
@@ -62,31 +53,45 @@ class VerdictCache {
   using MatchedIds = std::vector<std::uint64_t>;
 
   // byte_budget == 0 disables the cache (get always misses, put drops).
-  explicit VerdictCache(std::uint64_t byte_budget) : budget_(byte_budget) {}
+  explicit VerdictCache(std::uint64_t byte_budget) : lru_(byte_budget) {}
 
-  [[nodiscard]] bool enabled() const noexcept { return budget_ != 0; }
-  [[nodiscard]] std::uint64_t byte_budget() const noexcept { return budget_; }
+  [[nodiscard]] bool enabled() const noexcept { return lru_.budget() != 0; }
+  [[nodiscard]] std::uint64_t byte_budget() const noexcept {
+    return lru_.budget();
+  }
 
   // The memoized verdict for (digest, segment), refreshing its recency, or
   // nullptr on a miss. The returned vector is immutable and shared — safe
   // to keep across a concurrent eviction/invalidation.
   [[nodiscard]] std::shared_ptr<const MatchedIds> get(
-      const QueryDigest& digest, const SegmentId& segment);
+      const QueryDigest& digest, const SegmentId& segment) {
+    return lru_.get(Key{digest, segment}).value_or(nullptr);
+  }
 
   // Memoizes a complete scan's verdict for one sealed segment, evicting
   // LRU entries past the byte budget. An entry larger than the whole
   // budget is not stored. Callers must only pass verdicts from complete
   // (non-partial, non-cancelled) scans of sealed segments.
   void put(const QueryDigest& digest, const SegmentId& segment,
-           MatchedIds ids);
+           MatchedIds ids) {
+    const std::uint64_t cost =
+        kEntryOverhead + static_cast<std::uint64_t>(ids.size()) * 8;
+    lru_.put(Key{digest, segment},
+             std::make_shared<const MatchedIds>(std::move(ids)), cost);
+  }
 
   // Drops every verdict cached under the given segment identities (the
-  // rotation/compaction invalidation hook target).
-  void invalidate(std::span<const SegmentId> segments);
+  // rotation/compaction invalidation hook target); counted as `erased`.
+  void invalidate(std::span<const SegmentId> segments) {
+    if (segments.empty()) return;
+    (void)lru_.erase_if([segments](const Key& key) {
+      return std::find(segments.begin(), segments.end(), key.segment) !=
+             segments.end();
+    });
+  }
 
-  void clear();
-
-  [[nodiscard]] VerdictCacheStats stats() const;
+  // `cost` is the charged bytes.
+  [[nodiscard]] LruStats stats() const { return lru_.stats(); }
 
  private:
   struct Key {
@@ -105,26 +110,11 @@ class VerdictCache {
       return h;
     }
   };
-  struct Entry {
-    Key key;
-    std::shared_ptr<const MatchedIds> ids;
-    std::uint64_t cost = 0;  // charged bytes
-  };
 
   // Bookkeeping cost per entry: key + list/map node overhead, amortized.
   static constexpr std::uint64_t kEntryOverhead = 128;
 
-  [[nodiscard]] static std::uint64_t cost_of(const MatchedIds& ids) noexcept {
-    return kEntryOverhead + static_cast<std::uint64_t>(ids.size()) * 8;
-  }
-  void erase_locked(std::list<Entry>::iterator it);
-
-  const std::uint64_t budget_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
-  std::uint64_t bytes_ = 0;
-  VerdictCacheStats stats_;
+  BoundedLru<Key, std::shared_ptr<const MatchedIds>, KeyHash> lru_;
 };
 
 }  // namespace apks

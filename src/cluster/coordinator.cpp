@@ -36,7 +36,8 @@ Coordinator::Coordinator(const SearchBackend& backend,
     : backend_(&backend),
       verifier_(std::move(verifier)),
       map_(std::move(map)),
-      options_(options) {
+      options_(options),
+      auth_cache_(options.auth_cache_capacity) {
   nodes_.resize(map_.nodes().size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     nodes_[i].breaker = CircuitBreaker(options_.breaker);
@@ -76,9 +77,6 @@ std::vector<NodeHealth> Coordinator::health() const {
 
 bool Coordinator::auth_cache_check(
     const SignedQuery& query, std::span<const std::uint8_t> query_bytes) {
-  if (options_.auth_cache_capacity == 0) {
-    return verifier_.verify(*backend_, query);
-  }
   // Key = H(len(query) || query || len(issuer) || issuer || len(sig) ||
   // sig): any change to what the verifier would see changes the key.
   const std::vector<std::uint8_t> sig_bytes =
@@ -98,25 +96,12 @@ bool Coordinator::auth_cache_check(
   update_sized(sig_bytes);
   const Sha256::Digest digest = h.finish();
 
-  const auto it = auth_cache_.find(digest);
-  if (it != auth_cache_.end()) {
-    ++auth_cache_stats_.hits;
-    auth_lru_.splice(auth_lru_.begin(), auth_lru_, it->second);
-    return true;
-  }
-  ++auth_cache_stats_.misses;
+  if (auth_cache_.get(digest)) return true;
   if (!verifier_.verify(*backend_, query)) return false;
   // Only positives are cached: a rejected signature may become valid
   // after authority registration changes, and negatives are cheap to
   // re-reject anyway.
-  auth_lru_.push_front(digest);
-  auth_cache_.emplace(digest, auth_lru_.begin());
-  while (auth_cache_.size() > options_.auth_cache_capacity) {
-    auth_cache_.erase(auth_lru_.back());
-    auth_lru_.pop_back();
-    ++auth_cache_stats_.evictions;
-  }
-  auth_cache_stats_.size = auth_cache_.size();
+  auth_cache_.put(digest, std::monostate{});
   return true;
 }
 

@@ -3,7 +3,8 @@
 //
 // One coordinator holds a ClusterMap and a persistent NetClient per node.
 // A search authenticates ONCE at the edge (the authority-signature check
-// of the paper's protocol, memoized in a bounded digest-keyed LRU), then
+// of the paper's protocol, memoized in a digest-keyed BoundedLru of
+// verified signatures; common/bounded_lru.h), then
 // fans out shard-scoped kShardSearch RPCs to the owning nodes — the
 // internal hop re-sends the query unchecked, which only nodes opted into
 // allow_unchecked accept (the trusted-tier deployment). Per-shard hits
@@ -56,18 +57,18 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "auth/authority.h"
 #include "cluster/health.h"
 #include "cluster/placement.h"
+#include "common/bounded_lru.h"
 #include "common/breaker.h"
 #include "common/sha256.h"
 #include "core/backend.h"
@@ -110,7 +111,8 @@ struct CoordinatorOptions {
   // Hedged shard reads (off by default; see HedgeOptions).
   HedgeOptions hedge;
   // Edge auth memoization: verified SignedQuery digests kept in an LRU of
-  // this capacity. 0 disables caching (every search_signed re-verifies).
+  // this capacity. 0 disables caching: every search_signed re-verifies and
+  // counts a miss.
   std::size_t auth_cache_capacity = 128;
 };
 
@@ -150,12 +152,7 @@ struct NodeHealth {
 };
 
 // Edge auth LRU counters.
-struct AuthCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t size = 0;
-};
+using AuthCacheStats = LruStats;
 
 class Coordinator {
  public:
@@ -191,8 +188,8 @@ class Coordinator {
 
   [[nodiscard]] const ClusterMap& map() const noexcept { return map_; }
   [[nodiscard]] std::vector<NodeHealth> health() const;
-  [[nodiscard]] AuthCacheStats auth_cache_stats() const noexcept {
-    return auth_cache_stats_;
+  [[nodiscard]] AuthCacheStats auth_cache_stats() const {
+    return auth_cache_.stats();
   }
   // The heartbeat monitor (nullptr when heartbeat_ms == 0 at
   // construction). Exposed so tests can drive deterministic rounds.
@@ -278,11 +275,8 @@ class Coordinator {
   std::unique_ptr<HealthMonitor> health_;
 
   // Edge auth LRU: digest over (query bytes, issuer, signature bytes).
-  std::list<Sha256::Digest> auth_lru_;  // front = most recent
-  std::unordered_map<Sha256::Digest, std::list<Sha256::Digest>::iterator,
-                     CapabilityDigestHash>
+  BoundedLru<Sha256::Digest, std::monostate, CapabilityDigestHash>
       auth_cache_;
-  AuthCacheStats auth_cache_stats_;
 };
 
 }  // namespace apks::cluster

@@ -588,7 +588,7 @@ TEST_F(ClusterHealthTest, AuthCacheMemoizesVerifiedQueriesAndEvicts) {
   EXPECT_EQ(coord.search_signed(good, &stats), expected);
   EXPECT_TRUE(stats.authorized);
   EXPECT_EQ(coord.auth_cache_stats().hits, 1u);
-  EXPECT_EQ(coord.auth_cache_stats().size, 1u);
+  EXPECT_EQ(coord.auth_cache_stats().entries, 1u);
 
   // A rogue issuer is a miss AND is never cached (a later registration
   // change must be able to flip the verdict).
@@ -597,7 +597,7 @@ TEST_F(ClusterHealthTest, AuthCacheMemoizesVerifiedQueriesAndEvicts) {
   EXPECT_TRUE(coord.search_signed(rogue, &stats).empty());
   EXPECT_FALSE(stats.authorized);
   EXPECT_EQ(coord.auth_cache_stats().misses, 2u);
-  EXPECT_EQ(coord.auth_cache_stats().size, 1u);
+  EXPECT_EQ(coord.auth_cache_stats().entries, 1u);
 
   // A second valid query evicts the first at capacity 1...
   SignedQuery other{AnyQuery::ref(SchemeKind::kApks, &env().other_cap.cap),
@@ -605,11 +605,35 @@ TEST_F(ClusterHealthTest, AuthCacheMemoizesVerifiedQueriesAndEvicts) {
   (void)coord.search_signed(other, &stats);
   EXPECT_TRUE(stats.authorized);
   EXPECT_EQ(coord.auth_cache_stats().evictions, 1u);
-  EXPECT_EQ(coord.auth_cache_stats().size, 1u);
+  EXPECT_EQ(coord.auth_cache_stats().entries, 1u);
 
   // ...so the first query misses (and re-verifies) again.
   EXPECT_EQ(coord.search_signed(good, &stats), expected);
   EXPECT_EQ(coord.auth_cache_stats().misses, 4u);
+
+  for (auto& node : f.nodes) node->stop();
+}
+
+TEST_F(ClusterHealthTest, DisabledAuthCacheCountsEveryLookupAsAMiss) {
+  const std::vector<std::string> expected = single_node_search();
+  Fleet f = start_fleet();
+
+  CoordinatorOptions opts;
+  opts.auth_cache_capacity = 0;
+  Coordinator coord(env().backend, env().verifier, f.map, opts);
+
+  SignedQuery good{AnyQuery::ref(SchemeKind::kApks, &env().cap.cap),
+                   env().cap.issuer, env().cap.sig};
+  constexpr std::uint64_t kSearches = 3;
+  for (std::uint64_t i = 0; i < kSearches; ++i) {
+    ClusterSearchStats stats;
+    EXPECT_EQ(coord.search_signed(good, &stats), expected);
+    EXPECT_TRUE(stats.authorized);
+  }
+  // Every search re-verified, and the stats say so.
+  EXPECT_EQ(coord.auth_cache_stats().misses, kSearches);
+  EXPECT_EQ(coord.auth_cache_stats().hits, 0u);
+  EXPECT_EQ(coord.auth_cache_stats().entries, 0u);
 
   for (auto& node : f.nodes) node->stop();
 }

@@ -743,11 +743,11 @@ void print_stats_json(const SearchEngine& engine, const net::NetServer* srv) {
               c.served, c.shed, c.deadline_exceeded, c.cancelled,
               engine.cache_hits(), engine.cache_misses());
   if (const VerdictCache* vcache = engine.verdict_cache(); vcache != nullptr) {
-    const VerdictCacheStats vs = vcache->stats();
+    const LruStats vs = vcache->stats();
     std::printf(",\"verdict_hits\":%" PRIu64 ",\"verdict_misses\":%" PRIu64
                 ",\"verdict_insertions\":%" PRIu64
                 ",\"verdict_entries\":%zu,\"verdict_bytes\":%" PRIu64,
-                vs.hits, vs.misses, vs.insertions, vs.entries, vs.bytes);
+                vs.hits, vs.misses, vs.insertions, vs.entries, vs.cost);
   }
   if (srv != nullptr) {
     const net::NetServerStats ns = srv->stats();
@@ -1063,11 +1063,11 @@ int cmd_serve(Runtime& rt, const Args& a) {
               counters.served, counters.deadline_exceeded, counters.shed);
   if (const VerdictCache* vcache = engine.verdict_cache();
       vcache != nullptr) {
-    const VerdictCacheStats vs = vcache->stats();
+    const LruStats vs = vcache->stats();
     std::printf("verdict cache: %" PRIu64 " hits, %" PRIu64 " misses, %" PRIu64
                 " memoized (%zu entries, %" PRIu64 "/%" PRIu64 " bytes); "
                 "batch resolved %zu records from cache\n",
-                vs.hits, vs.misses, vs.insertions, vs.entries, vs.bytes,
+                vs.hits, vs.misses, vs.insertions, vs.entries, vs.cost,
                 vcache->byte_budget(), metrics.verdict_hits);
   }
   print_stats_json(engine, nullptr);

@@ -20,7 +20,7 @@
 #                          #   serving + cluster + e2e
 #   tools/ci.sh --store    # store stage only (ASan + crash recovery + bench
 #                          #   smoke, artifact under build-asan/)
-#   tools/ci.sh --tsan     # TSan cloud tests only
+#   tools/ci.sh --tsan     # TSan cloud tests + BoundedLru hammer only
 #   tools/ci.sh --ubsan    # UBSan backend/mrqed/proxy tests only
 #   tools/ci.sh --pairing  # UBSan pairing/SIMD tests + pairing bench artifact
 #   tools/ci.sh --chaos    # ASan fault-injection suite + fault bench artifact
@@ -128,6 +128,15 @@ if [[ $STAGE == all ]]; then
     exit 1
   fi
 
+  echo "=== tier-1: one LRU ==="
+  # Every cache in src/ is a BoundedLru: its eviction order, locking and
+  # budget-0 rule exist once, in common/bounded_lru.h.
+  if grep -rnE 'std::list|\.splice\(' src |
+       grep -v '^src/common/bounded_lru\.h:'; then
+    echo "a list-plus-map LRU outside src/common/bounded_lru.h; use BoundedLru"
+    exit 1
+  fi
+
   echo "=== tier-1: full build + ctest ==="
   configure build
   cmake --build build -j "$JOBS"
@@ -189,8 +198,10 @@ if [[ $STAGE == all || $STAGE == tsan ]]; then
   echo "=== TSan: cloud server / search engine tests ==="
   configure build-tsan -DAPKS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$JOBS" \
-    --target cloud_test policy_test integration_test search_engine_test
-  for t in cloud_test policy_test integration_test search_engine_test; do
+    --target cloud_test policy_test integration_test search_engine_test \
+    bounded_lru_test
+  for t in cloud_test policy_test integration_test search_engine_test \
+      bounded_lru_test; do
     echo "--- $t (TSan) ---"
     ./build-tsan/tests/"$t"
   done
