@@ -121,9 +121,11 @@ int main() {
                 "%zu)\n",
                 batch_s, cold.prepare_calls, cold.cache_hits,
                 warm.prepare_calls, cold.threads);
-    std::printf("  prepare amortization: %zux fewer prepares than "
+    std::printf("  prepare amortization: %.1fx fewer prepares than "
                 "sequential\n",
-                batch.size() / std::max<std::size_t>(1, cold.prepare_calls));
+                static_cast<double>(batch.size()) /
+                    static_cast<double>(
+                        std::max<std::size_t>(1, cold.prepare_calls)));
     std::printf("  %-8s %6s %8s %8s %10s %10s %6s\n", "query", "auth",
                 "scanned", "matched", "miller", "final_exp", "cache");
     for (std::size_t i = 0; i < cold.per_query.size(); ++i) {

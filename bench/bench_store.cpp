@@ -6,7 +6,9 @@
 // free: how fast records ingest through the write-through path (crypto
 // excluded — records are pre-generated), how fast a cold server reloads
 // from disk, and what one scan of the reloaded records costs next to
-// them. Expected shape: ingest and reload are I/O-bound and orders of
+// them. Expected shape: ingest is I/O-bound; reload is bound by the
+// square roots that decompress each index's n+3 points and G_T value
+// (lane-packed across records, on every core), and both are orders of
 // magnitude faster than gen_index; the scan is pairing-bound.
 #include <filesystem>
 

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/failpoint.h"
+#include "common/work_pool.h"
 
 namespace apks {
 
@@ -306,14 +307,11 @@ void SearchEngine::run_batch(const SearchRequest& request,
 
     const auto scan_t0 = Clock::now();
     const PairingOpCounts scan_c0 = pairing.op_counts();
-    if (threads <= 1) {
-      for (std::size_t b = 0; b < n_blocks; ++b) {
-        if (should_stop()) break;
-        run_block(b);
-      }
-    } else {
+    {
       // Contiguous initial partition; idle workers steal the back half of
-      // the most loaded victim's remaining range.
+      // the most loaded victim's remaining range. The workers run on the
+      // work pool, one of them on this thread; a single worker runs here
+      // alone.
       std::vector<WorkerSlot> slots(threads);
       for (std::size_t w = 0; w < threads; ++w) {
         slots[w].range.store(
@@ -363,10 +361,7 @@ void SearchEngine::run_batch(const SearchRequest& request,
           }
         }
       };
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-      for (auto& t : pool) t.join();
+      parallel_run(threads, worker);
     }
     const PairingOpCounts scan_ops = pairing.op_counts() - scan_c0;
     const double scan_wall = seconds_since(scan_t0);

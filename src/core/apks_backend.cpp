@@ -18,6 +18,28 @@ AnyIndex ApksBackend::decode_index(std::span<const std::uint8_t> data) const {
   return AnyIndex::own(kind(), deserialize_index(pairing(), data));
 }
 
+void ApksBackend::decode_index_batch(
+    std::span<const std::span<const std::uint8_t>> data,
+    std::vector<AnyIndex>& out) const {
+  std::vector<EncryptedIndex> typed(data.size());
+  try {
+    read_elements(pairing().curve(), [&](ElementReader& in) {
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        read_index(in, data[i], typed[i]);
+      }
+    });
+  } catch (...) {
+    // Some record is malformed: decode record by record, so the records
+    // returned and the error thrown are decode_index's.
+    SearchBackend::decode_index_batch(data, out);
+    return;
+  }
+  out.reserve(out.size() + typed.size());
+  for (EncryptedIndex& index : typed) {
+    out.push_back(AnyIndex::own(kind(), std::move(index)));
+  }
+}
+
 std::vector<std::uint8_t> ApksBackend::encode_query(
     const AnyQuery& query) const {
   require_query(query);

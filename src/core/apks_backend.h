@@ -36,6 +36,13 @@ class ApksBackend : public SearchBackend {
       const AnyIndex& index) const override;
   [[nodiscard]] AnyIndex decode_index(
       std::span<const std::uint8_t> data) const override;
+  // One read_index walk over every record on the calling thread, which
+  // also allocates the decoded indexes; ElementReader::finish then packs
+  // their elements into full lane passes on the work pool. A batch with
+  // any malformed record is decoded again record by record, so the records
+  // returned and the error thrown are the record-at-a-time loop's.
+  void decode_index_batch(std::span<const std::span<const std::uint8_t>> data,
+                          std::vector<AnyIndex>& out) const override;
   [[nodiscard]] std::vector<std::uint8_t> encode_query(
       const AnyQuery& query) const override;
   [[nodiscard]] AnyQuery decode_query(

@@ -44,6 +44,14 @@ SchemeKind parse_scheme_kind(std::string_view name) {
                               "' (use apks, apks+ or mrqed)");
 }
 
+void SearchBackend::decode_index_batch(
+    std::span<const std::span<const std::uint8_t>> data,
+    std::vector<AnyIndex>& out) const {
+  for (const std::span<const std::uint8_t> record : data) {
+    out.push_back(decode_index(record));
+  }
+}
+
 void SearchBackend::require_index(const AnyIndex& index) const {
   if (index.empty()) {
     throw std::invalid_argument("backend '" + std::string(name()) +

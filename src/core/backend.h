@@ -244,6 +244,14 @@ class SearchBackend {
       const AnyIndex& index) const = 0;
   [[nodiscard]] virtual AnyIndex decode_index(
       std::span<const std::uint8_t> data) const = 0;
+  // Decodes data[0], data[1], ... in order, appending each to `out`, and
+  // throws what decode_index throws for the first record that fails;
+  // `out` then holds every record before it, as a record-at-a-time loop
+  // (the default) leaves it. The APKS family packs the elements of all
+  // the records into full lane passes and decodes them on the work pool.
+  virtual void decode_index_batch(
+      std::span<const std::span<const std::uint8_t>> data,
+      std::vector<AnyIndex>& out) const;
 
   // --- query codec -----------------------------------------------------
   // decode_query is the serving decoder (NetServer decodes every kAuth

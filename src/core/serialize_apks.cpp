@@ -61,15 +61,21 @@ std::vector<std::uint8_t> serialize_index(const Pairing& e,
 
 EncryptedIndex deserialize_index(const Pairing& e,
                                  std::span<const std::uint8_t> data) {
+  EncryptedIndex index;
+  read_elements(e.curve(),
+                [&](ElementReader& in) { read_index(in, data, index); });
+  return index;
+}
+
+void read_index(ElementReader& in, std::span<const std::uint8_t> data,
+                EncryptedIndex& index) {
   if (data.empty()) {
     throw std::invalid_argument("index: empty buffer");
   }
   if (data[0] != kIndexCodecVersion) {
     throw std::invalid_argument("index: unsupported codec version");
   }
-  EncryptedIndex index;
-  index.ct = deserialize_ciphertext(e, data.subspan(1));
-  return index;
+  read_ciphertext(in, data.subspan(1), index.ct);
 }
 
 std::vector<std::uint8_t> serialize_capability(const Pairing& e,

@@ -27,6 +27,11 @@ inline constexpr std::uint8_t kCapabilityCodecVersion = 1;
     const Pairing& e, const EncryptedIndex& index);
 [[nodiscard]] EncryptedIndex deserialize_index(
     const Pairing& e, std::span<const std::uint8_t> data);
+// The walk deserialize_index runs: checks the codec head and queues the
+// ciphertext's elements on `in` (see read_ciphertext). One reader walked
+// over many indexes packs their elements into full lane passes.
+void read_index(ElementReader& in, std::span<const std::uint8_t> data,
+                EncryptedIndex& index);
 
 // Capability with its full delegation history (one Query per level).
 // `parts` is passed to deserialize_key: KeyParts::kDecOnly is the serving

@@ -1,6 +1,11 @@
 #include "hpe/serialize.h"
 
+#include <algorithm>
+#include <array>
+#include <exception>
 #include <stdexcept>
+
+#include "common/work_pool.h"
 
 namespace apks {
 
@@ -45,16 +50,11 @@ void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w) {
 }
 
 void ElementReader::point(ByteReader& r, AffinePoint& out) {
-  queue({r.raw(Curve::kCompressedSize).data(), &out, nullptr});
+  queued_.push_back({r.raw(Curve::kCompressedSize).data(), &out, nullptr});
 }
 
 void ElementReader::gt(ByteReader& r, GtEl& out) {
-  queue({r.raw(Pairing::kGtCompressedSize).data(), nullptr, &out});
-}
-
-void ElementReader::queue(const CompressedElement& el) {
-  if (n_ == queued_.size()) finish();
-  queued_[n_++] = el;
+  queued_.push_back({r.raw(Pairing::kGtCompressedSize).data(), nullptr, &out});
 }
 
 std::uint32_t ElementReader::gvec_count(ByteReader& r) {
@@ -77,9 +77,25 @@ void ElementReader::skip_gvec(ByteReader& r) {
 }
 
 void ElementReader::finish() {
-  const std::size_t n = n_;
-  n_ = 0;
-  curve_->decode_batch({queued_.data(), n});
+  // 16 full lane passes per task: one key or signature decodes on the
+  // calling thread, a restore's thousands of elements on every core.
+  constexpr std::size_t kSlice = 16 * kMaxLaneWidth;
+  const std::vector<CompressedElement> queued = std::move(queued_);
+  queued_.clear();
+  const std::span<const CompressedElement> all(queued);
+  std::vector<std::exception_ptr> errors((all.size() + kSlice - 1) / kSlice);
+  parallel_run(errors.size(), [&](std::size_t s) {
+    try {
+      curve_->decode_batch(
+          all.subspan(s * kSlice, std::min(kSlice, all.size() - s * kSlice)));
+    } catch (...) {
+      errors[s] = std::current_exception();
+    }
+  });
+  // Slices are in queue order, so the first error is the earliest one.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 std::vector<std::uint8_t> serialize_ciphertext(const Pairing& e,
@@ -92,14 +108,18 @@ std::vector<std::uint8_t> serialize_ciphertext(const Pairing& e,
 
 HpeCiphertext deserialize_ciphertext(const Pairing& e,
                                      std::span<const std::uint8_t> data) {
-  ByteReader r(data);
   HpeCiphertext ct;
-  read_elements(e.curve(), [&](ElementReader& in) {
-    in.gvec(r, ct.c1);
-    in.gt(r, ct.c2);
-    if (!r.done()) throw std::invalid_argument("ciphertext: trailing bytes");
-  });
+  read_elements(e.curve(),
+                [&](ElementReader& in) { read_ciphertext(in, data, ct); });
   return ct;
+}
+
+void read_ciphertext(ElementReader& in, std::span<const std::uint8_t> data,
+                     HpeCiphertext& ct) {
+  ByteReader r(data);
+  in.gvec(r, ct.c1);
+  in.gt(r, ct.c2);
+  if (!r.done()) throw std::invalid_argument("ciphertext: trailing bytes");
 }
 
 std::vector<std::uint8_t> serialize_key(const Pairing& e, const HpeKey& key) {

@@ -6,7 +6,6 @@
 // explicit headers on top of the element payloads).
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/bytes.h"
@@ -24,11 +23,11 @@ void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w);
 
 void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w);
 
-// Reads the compressed elements of one object off a ByteReader and decodes
-// them kMaxLaneWidth at a time (Curve::decode_batch): an index or a
-// capability pays one lane square-root pass per chunk instead of one
-// scalar root per element. A destination is written when its chunk is
-// decoded, so it must stay put until finish().
+// Reads the compressed elements of one or more objects off ByteReaders and
+// decodes them at finish() (Curve::decode_batch): every element shares a
+// lane square-root pass with its neighbours, across object boundaries,
+// instead of paying one scalar root each, and large queues run in slices
+// on the work pool. A destination must stay put until finish().
 class ElementReader {
  public:
   explicit ElementReader(const Curve& curve) : curve_(&curve) {}
@@ -41,17 +40,16 @@ class ElementReader {
   // only stepped over: nothing is queued or decoded.
   void skip_gvec(ByteReader& r);
 
-  // Decodes what is still queued.
+  // Decodes what is queued and throws the first malformed element's error
+  // in queue order.
   void finish();
 
  private:
-  void queue(const CompressedElement& el);
   // Reads a gvec's u32 point count and checks it against the bytes left.
   static std::uint32_t gvec_count(ByteReader& r);
 
   const Curve* curve_;
-  std::array<CompressedElement, kMaxLaneWidth> queued_{};
-  std::size_t n_ = 0;
+  std::vector<CompressedElement> queued_;
 };
 
 // Runs walk(reader), which reads one whole object, then decodes its
@@ -74,6 +72,11 @@ void read_elements(const Curve& curve, Walk&& walk) {
     const Pairing& e, const HpeCiphertext& ct);
 [[nodiscard]] HpeCiphertext deserialize_ciphertext(
     const Pairing& e, std::span<const std::uint8_t> data);
+// The walk deserialize_ciphertext runs: parses one ciphertext encoding and
+// queues its elements on `in`. Walks of several objects on one reader
+// share lane passes; `data` and `ct` must stay put until `in` finishes.
+void read_ciphertext(ElementReader& in, std::span<const std::uint8_t> data,
+                     HpeCiphertext& ct);
 
 // What deserialize_key decodes. Both parse and check the whole key layout
 // (level, every vector count and length, trailing bytes); kDecOnly then

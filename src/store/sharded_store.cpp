@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <random>
 #include <stdexcept>
@@ -250,15 +251,58 @@ void ShardedStore::sync() {
 
 void ShardedStore::for_each_record_any(
     const RecordFn& fn, std::span<const std::uint32_t> shards) {
+  // A shard's records are read first and their indexes decoded in one
+  // decode_index_batch call, then delivered in stream order. A fault at
+  // record k (in the segment stream, a record head or an index) delivers
+  // records 0..k-1 and then throws, as a record-at-a-time stream does.
+  struct Pending {
+    std::uint64_t id;
+    std::string doc_ref;
+    std::size_t offset;  // of the index bytes in `bytes`
+    std::size_t size;
+    SegmentId seg;
+    bool sealed;
+  };
   const auto stream = [&](Shard& shard) {
     std::shared_lock lock(shard.mutex);
-    shard.store.for_each([&](std::span<const std::uint8_t> payload,
-                             const SegmentId& seg, bool sealed) {
-      RecordHead head = decode_head(payload, shard.store.dir());
-      fn(StoredAnyRecord{head.id, std::move(head.doc_ref),
-                         backend_->decode_index(head.index_bytes)},
-         seg, sealed);
-    });
+    std::vector<Pending> pending;
+    std::vector<std::uint8_t> bytes;
+    // Sized once: the segment bytes bound the index bytes they hold.
+    pending.reserve(shard.store.record_count());
+    bytes.reserve(shard.store.bytes());
+    std::exception_ptr stream_fault;
+    try {
+      shard.store.for_each([&](std::span<const std::uint8_t> payload,
+                               const SegmentId& seg, bool sealed) {
+        RecordHead head = decode_head(payload, shard.store.dir());
+        pending.push_back({head.id, std::move(head.doc_ref), bytes.size(),
+                           head.index_bytes.size(), seg, sealed});
+        bytes.insert(bytes.end(), head.index_bytes.begin(),
+                     head.index_bytes.end());
+      });
+    } catch (...) {
+      stream_fault = std::current_exception();
+    }
+    std::vector<std::span<const std::uint8_t>> views;
+    views.reserve(pending.size());
+    for (const Pending& p : pending) {
+      views.push_back(std::span<const std::uint8_t>(bytes).subspan(p.offset,
+                                                                   p.size));
+    }
+    std::vector<AnyIndex> decoded;
+    std::exception_ptr decode_fault;
+    try {
+      backend_->decode_index_batch(views, decoded);
+    } catch (...) {
+      decode_fault = std::current_exception();
+    }
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      fn(StoredAnyRecord{pending[i].id, std::move(pending[i].doc_ref),
+                         std::move(decoded[i])},
+         pending[i].seg, pending[i].sealed);
+    }
+    if (decode_fault) std::rethrow_exception(decode_fault);
+    if (stream_fault) std::rethrow_exception(stream_fault);
   };
   if (shards.empty()) {
     for (const auto& shard : shards_) stream(*shard);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <typeinfo>
 
 #include "cloud/proxy.h"
 #include "cloud/proxy_pool.h"
@@ -550,6 +551,178 @@ TEST_F(BackendTest, OtherStoreAndManifestVersionsAreRefused) {
   EXPECT_EQ(SearchEngine(restarted).search_batch_signed(
                 borrow_capabilities(restarted.backend(), {&cap, 1}))[0],
             original);
+}
+
+
+// ApksBackend::decode_index_batch against the record-at-a-time
+// decode_index loop: the same records, limb for limb, and for a fault in
+// record k the same exception type and message with the same records
+// before it. tools/ci.sh's pairing stage runs this binary on the lane
+// engine and again with APKS_FORCE_SCALAR=1.
+class DecodeBatchTest : public ::testing::Test {
+ protected:
+  enum class Fault { kBadTag, kXOutOfRange, kNotOnCurve, kNotUnitary, kTruncated };
+
+  struct Outcome {
+    std::vector<AnyIndex> records;
+    std::string error_type;  // empty when every record decoded
+    std::string error;
+  };
+
+  static constexpr std::size_t kDistinct = 40;
+
+  DecodeBatchTest()
+      : e_(default_type_a_params()),
+        scheme_(e_, nursery_schema(1)),
+        backend_(scheme_),
+        rng_("decode-batch") {
+    scheme_.setup(rng_, pk_, msk_);
+    const std::vector<PlainIndex> rows = nursery_rows();
+    for (std::size_t i = 0; i < kDistinct; ++i) {
+      distinct_.push_back(serialize_index(
+          e_, scheme_.gen_index(pk_, rows[(i * 739) % rows.size()], rng_)));
+    }
+  }
+
+  // n records cycling through the distinct encodings.
+  [[nodiscard]] std::vector<std::vector<std::uint8_t>> batch(
+      std::size_t n) const {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(distinct_[i % kDistinct]);
+    return out;
+  }
+
+  [[nodiscard]] Outcome serial(
+      const std::vector<std::vector<std::uint8_t>>& data) const {
+    Outcome o;
+    try {
+      for (const auto& d : data) o.records.push_back(backend_.decode_index(d));
+    } catch (const std::exception& ex) {
+      o.error_type = typeid(ex).name();
+      o.error = ex.what();
+    }
+    return o;
+  }
+
+  [[nodiscard]] Outcome batched(
+      const std::vector<std::vector<std::uint8_t>>& data) const {
+    const std::vector<std::span<const std::uint8_t>> views(data.begin(),
+                                                           data.end());
+    Outcome o;
+    try {
+      backend_.decode_index_batch(views, o.records);
+    } catch (const std::exception& ex) {
+      o.error_type = typeid(ex).name();
+      o.error = ex.what();
+    }
+    return o;
+  }
+
+  static void expect_same(const Outcome& want, const Outcome& got) {
+    EXPECT_EQ(got.error_type, want.error_type);
+    EXPECT_EQ(got.error, want.error);
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (std::size_t i = 0; i < want.records.size(); ++i) {
+      ASSERT_EQ(got.records[i].kind(), want.records[i].kind());
+      const HpeCiphertext& a = want.records[i].as<EncryptedIndex>().ct;
+      const HpeCiphertext& b = got.records[i].as<EncryptedIndex>().ct;
+      EXPECT_EQ(b.c1, a.c1) << "record " << i;
+      EXPECT_EQ(b.c2, a.c2) << "record " << i;
+    }
+  }
+
+  // The error a lone decode of one compressed element gives ("" if none).
+  [[nodiscard]] std::string element_error(const std::uint8_t* el,
+                                          bool point) const {
+    const std::span<const std::uint8_t, Curve::kCompressedSize> bytes(
+        el, Curve::kCompressedSize);
+    try {
+      if (point) {
+        (void)e_.curve().deserialize(bytes);
+      } else {
+        (void)e_.gt_deserialize(bytes);
+      }
+    } catch (const std::invalid_argument& ex) {
+      return ex.what();
+    }
+    return "";
+  }
+
+  // A serialize_index encoding is [u8 version][u32 count][count points]
+  // [G_T value]; point faults land in point `point % count`.
+  [[nodiscard]] std::vector<std::uint8_t> corrupt(
+      std::vector<std::uint8_t> rec, Fault fault, std::size_t point) const {
+    constexpr std::size_t kHead = 5;
+    constexpr std::size_t kEl = Curve::kCompressedSize;
+    const std::size_t points = (rec.size() - kHead) / kEl - 1;
+    const bool gt = fault == Fault::kNotUnitary;
+    std::uint8_t* el = rec.data() + kHead + kEl * (gt ? points : point % points);
+    switch (fault) {
+      case Fault::kBadTag:
+        el[0] = 7;
+        break;
+      case Fault::kXOutOfRange:
+        el[0] = 2;
+        std::fill(el + 1, el + kEl, std::uint8_t{0xFF});
+        break;
+      case Fault::kNotOnCurve:
+      case Fault::kNotUnitary: {
+        // Step the low byte of x (of a, for G_T) until no root exists.
+        const std::string want = gt ? "gt_deserialize: not a unitary element"
+                                    : "Curve::deserialize: x not on curve";
+        do {
+          ++el[kEl - 1];
+        } while (element_error(el, !gt) != want);
+        break;
+      }
+      case Fault::kTruncated:
+        rec.resize(rec.size() - 10);
+        break;
+    }
+    return rec;
+  }
+
+  Pairing e_;
+  Apks scheme_;
+  ApksBackend backend_;
+  ChaChaRng rng_;
+  ApksPublicKey pk_;
+  ApksMasterKey msk_;
+  std::vector<std::vector<std::uint8_t>> distinct_;
+};
+
+constexpr std::size_t kDecodeBatchSizes[] = {1, 7, 33, 257};
+
+TEST_F(DecodeBatchTest, CleanBatchesMatchRecordAtATime) {
+  for (const std::size_t n : kDecodeBatchSizes) {
+    SCOPED_TRACE("batch of " + std::to_string(n));
+    const auto data = batch(n);
+    const Outcome want = serial(data);
+    ASSERT_TRUE(want.error.empty()) << want.error;
+    expect_same(want, batched(data));
+  }
+}
+
+TEST_F(DecodeBatchTest, FaultInRecordKMatchesRecordAtATime) {
+  const Fault faults[] = {Fault::kBadTag, Fault::kXOutOfRange,
+                          Fault::kNotOnCurve, Fault::kNotUnitary,
+                          Fault::kTruncated};
+  for (const std::size_t n : kDecodeBatchSizes) {
+    for (std::size_t f = 0; f < std::size(faults); ++f) {
+      // k runs from the first tenth of the batch to the last.
+      const std::size_t k = n * (2 * f + 1) / 10;
+      SCOPED_TRACE("batch of " + std::to_string(n) + ", fault " +
+                   std::to_string(f) + " in record " + std::to_string(k));
+      auto data = batch(n);
+      data[k] = corrupt(data[k], faults[f], k);
+      // A later fault of another kind must not decide the error.
+      if (k + 1 < n) data[n - 1] = corrupt(data[n - 1], Fault::kBadTag, 0);
+      const Outcome want = serial(data);
+      ASSERT_FALSE(want.error.empty());
+      ASSERT_EQ(want.records.size(), k);
+      expect_same(want, batched(data));
+    }
+  }
 }
 
 }  // namespace

@@ -483,6 +483,59 @@ TEST_F(ShardedStoreTest, UnparseableRecordHeadIsTypedCorrupt) {
   }
 }
 
+// The store decodes a shard's indexes as one batch, yet a record whose
+// index does not decode ends the stream where a record-at-a-time stream
+// ends it: every record before it is delivered, then decode_index's error
+// is thrown.
+TEST_F(ShardedStoreTest, UndecodableIndexEndsStreamAtThatRecord) {
+  ShardedStoreOptions one_shard;
+  one_shard.shards = 1;
+  constexpr std::uint64_t kGood = 40;
+  std::vector<std::uint8_t> good;
+  {
+    ShardedStore store(backend_, dir_.path(), one_shard);
+    for (std::uint64_t i = 0; i < kGood; ++i) {
+      const EncryptedIndex enc =
+          scheme_.gen_index(pk_, PlainIndex{{"x", "y"}}, rng_);
+      good = serialize_index(e_, enc);
+      (void)store.append("doc-" + std::to_string(i), enc);
+    }
+    store.sync();
+  }
+  std::vector<std::uint8_t> bad = good;
+  bad[5] = 7;  // the first point's tag byte
+  std::string want;
+  try {
+    (void)backend_.decode_index(bad);
+  } catch (const std::invalid_argument& ex) {
+    want = ex.what();
+  }
+  ASSERT_FALSE(want.empty());
+  {
+    SegmentWriter w = SegmentWriter::open_for_append(
+        dir_.path() / "shard-000" / "seg-00000001.apks", nullptr);
+    for (const std::vector<std::uint8_t>* index : {&bad, &good}) {
+      ByteWriter rec;
+      rec.u64(index == &bad ? kGood + 1 : kGood + 2);
+      rec.str("appended");
+      rec.bytes(*index);
+      w.append(rec.data());
+    }
+    w.close();
+  }
+  ShardedStore store(backend_, dir_.path(), one_shard);
+  std::vector<std::uint64_t> delivered;
+  try {
+    store.for_each_record_any([&](StoredAnyRecord&& rec, const SegmentId&,
+                                  bool) { delivered.push_back(rec.id); });
+    ADD_FAILURE() << "undecodable index accepted";
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_EQ(std::string(ex.what()), want);
+  }
+  ASSERT_EQ(delivered.size(), kGood);
+  for (std::uint64_t i = 0; i < kGood; ++i) EXPECT_EQ(delivered[i], i + 1);
+}
+
 class DocStoreTest : public StoreDirTest {};
 
 TEST_F(DocStoreTest, PersistReloadRoundTrip) {

@@ -20,7 +20,8 @@
 #                          #   serving + cluster + e2e
 #   tools/ci.sh --store    # store stage only (ASan + crash recovery + bench
 #                          #   smoke, artifact under build-asan/)
-#   tools/ci.sh --tsan     # TSan cloud tests + BoundedLru hammer only
+#   tools/ci.sh --tsan     # TSan cloud, store and work-pool tests +
+#                          #   BoundedLru hammer only
 #   tools/ci.sh --ubsan    # UBSan backend/mrqed/proxy tests only
 #   tools/ci.sh --pairing  # UBSan pairing/SIMD tests + pairing bench artifact
 #   tools/ci.sh --chaos    # ASan fault-injection suite + fault bench artifact
@@ -137,6 +138,18 @@ if [[ $STAGE == all ]]; then
     exit 1
   fi
 
+  echo "=== tier-1: one pool ==="
+  # Parallel work runs on the process-wide work pool (parallel_run); only
+  # the pool, the NetServer io loops and workers, the HealthMonitor and the
+  # coordinator's per-RPC scatter (until it is event-driven) own threads.
+  # std::this_thread and std::thread::hardware_concurrency are fine.
+  if grep -rnP 'std::j?thread\b(?!::hardware_concurrency)' src |
+       grep -vE '^src/(common/work_pool\.cpp|net/server\.(h|cpp)|cluster/(health|coordinator)\.(h|cpp)):'; then
+    echo "src/ names std::thread outside the work pool; use parallel_run" \
+         "(common/work_pool.h)"
+    exit 1
+  fi
+
   echo "=== tier-1: full build + ctest ==="
   configure build
   cmake --build build -j "$JOBS"
@@ -195,13 +208,13 @@ if [[ $STAGE == all || $STAGE == store ]]; then
 fi
 
 if [[ $STAGE == all || $STAGE == tsan ]]; then
-  echo "=== TSan: cloud server / search engine tests ==="
+  echo "=== TSan: cloud server / search engine / work pool / store tests ==="
   configure build-tsan -DAPKS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$JOBS" \
     --target cloud_test policy_test integration_test search_engine_test \
-    bounded_lru_test
+    bounded_lru_test work_pool_test store_test store_recovery_test
   for t in cloud_test policy_test integration_test search_engine_test \
-      bounded_lru_test; do
+      bounded_lru_test work_pool_test store_test store_recovery_test; do
     echo "--- $t (TSan) ---"
     ./build-tsan/tests/"$t"
   done
