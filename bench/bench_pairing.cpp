@@ -2,8 +2,9 @@
 // search hot path (Miller loop, final exponentiation, multi-pairing of a
 // full capability's 13 slots), the capability admission check
 // (CapabilityVerifier::verify: one two-slot preprocessed multi-pairing)
-// and the throughput of the lane-parallel
-// BlockMultiPairing scan kernel on every engine the build and CPU support.
+// the throughput of the lane-parallel BlockMultiPairing scan kernel on
+// every engine the build and CPU support, and the heap a prepared
+// capability holds (counted by tests/heap_count.h's operator new).
 //
 // The numbers quantify the two tentpole levers independently:
 //   - algorithmic: multi_miller of N slots shares one accumulator squaring
@@ -14,8 +15,10 @@
 //     avx512 rows isolate the vector speedup at identical outputs.
 #include "auth/authority.h"
 #include "bench/bench_util.h"
+#include "data/nursery.h"
 #include "math/fp_lanes.h"
 #include "pairing/pairing_block.h"
+#include "tests/heap_count.h"
 
 using namespace apks;
 using namespace apks::bench;
@@ -91,6 +94,31 @@ int main(int argc, char** argv) {
     per_op("ibs_verify", [&] { (void)verifier.verify(cap); });
   }
 
+  // --- Heap held by one prepared capability -------------------------------
+  // A nursery_schema(1) capability (n+3 = 13 slots), prepared once to warm
+  // up, then counted: the bytes Apks::prepare leaves live.
+  {
+    ChaChaRng cap_rng("bench-pairing-prepared");
+    const Apks scheme(e, nursery_schema(1));
+    ApksPublicKey pk;
+    ApksMasterKey msk;
+    scheme.setup(cap_rng, pk, msk);
+    Query any;
+    any.terms.assign(scheme.schema().original_dims(), QueryTerm::any());
+    const Capability cap = scheme.gen_cap(msk, any, cap_rng);
+    (void)scheme.prepare(cap);
+    const std::int64_t before = heap_count::live_bytes();
+    const PreparedCapability prepared = scheme.prepare(cap);
+    const std::int64_t bytes = heap_count::live_bytes() - before;
+    std::printf("prepared_bytes     %9.1f KiB  (%zu slots x %zu lines)\n",
+                static_cast<double>(bytes) / 1024.0, prepared.kernel->dim(),
+                prepared.kernel->line_count());
+    report.add_row({{"op", "prepared_bytes"},
+                    {"dim", prepared.kernel->dim()},
+                    {"lines", prepared.kernel->line_count()},
+                    {"bytes", static_cast<double>(bytes)}});
+  }
+
   // --- BlockMultiPairing scan-kernel throughput per engine ----------------
   std::vector<std::vector<AffinePoint>> qrows(kRecords);
   std::vector<const AffinePoint*> qvecs;
@@ -103,8 +131,7 @@ int main(int argc, char** argv) {
   for (const SimdLevel lvl :
        {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (simd_level_detected() < lvl) continue;
-    auto pres_copy = pres;
-    const BlockMultiPairing kernel(e, std::move(pres_copy), lvl);
+    const BlockMultiPairing kernel(e, pres, lvl);
     if (kernel.engine_level() != lvl) continue;  // built without ISA support
     const double s = time_op_median(
         [&] { kernel.run(qvecs.data(), qvecs.size(), out.data()); },

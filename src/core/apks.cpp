@@ -38,13 +38,17 @@ bool Apks::search(const Capability& cap, const EncryptedIndex& index) const {
 }
 
 PreparedCapability Apks::prepare(const Capability& cap) const {
-  return {std::make_shared<BlockMultiPairing>(hpe_.pairing(),
-                                              hpe_.preprocess_key(cap.key))};
+  // The kernel keeps only its lane tables; the scalar traces die here.
+  const std::vector<PreprocessedPairing> traces = hpe_.preprocess_key(cap.key);
+  return {std::make_shared<BlockMultiPairing>(hpe_.pairing(), traces)};
 }
 
 bool Apks::search_prepared(const PreparedCapability& cap,
                            const EncryptedIndex& index) const {
-  return hpe_.decrypt_pre(index.ct, cap.dec()) == match_flag();
+  const EncryptedIndex* const one = &index;
+  bool out = false;
+  search_prepared_block(cap, &one, 1, &out);
+  return out;
 }
 
 void Apks::search_prepared_block(const PreparedCapability& cap,

@@ -36,15 +36,11 @@ struct Capability {
 };
 
 // A capability with the server-side pairing preprocessing applied: the
-// compiled scan kernel owns the preprocessed line tables (in both scalar
-// and lane-engine form), so a prepared capability can serve records one at
-// a time (`search_prepared`) or in SIMD blocks (`search_prepared_block`).
+// compiled scan kernel, whose lane-engine line tables are the only copy of
+// the preprocessed traces. Records are served in SIMD blocks
+// (`search_prepared_block`); one record is a block of one.
 struct PreparedCapability {
   std::shared_ptr<const BlockMultiPairing> kernel;
-
-  [[nodiscard]] std::span<const PreprocessedPairing> dec() const noexcept {
-    return kernel->pres();
-  }
 };
 
 class Apks {
@@ -86,6 +82,9 @@ class Apks {
 
   // Server-side: preprocess once, then search many indexes cheaper.
   [[nodiscard]] PreparedCapability prepare(const Capability& cap) const;
+  // search_prepared_block over one record: a full lane pass, which on the
+  // scalar and AVX2 engines costs more than Hpe::preprocess_key +
+  // Hpe::decrypt_pre for callers that search record by record.
   [[nodiscard]] bool search_prepared(const PreparedCapability& cap,
                                      const EncryptedIndex& index) const;
   // Block variant: out[r] = search_prepared(cap, *indexes[r]), with the

@@ -116,8 +116,9 @@ AnyIndex ApksPlusBackend::ingest_transform(AnyIndex index) const {
 
 void ApksPlusBackend::validate_ingest(const AnyIndex& index) const {
   require_index(index);
-  if (!has_canary_) return;
-  if (!scheme().search_prepared(canary_, index.as<EncryptedIndex>())) {
+  if (canary_.empty()) return;
+  if (scheme().hpe().decrypt_pre(index.as<EncryptedIndex>().ct, canary_) !=
+      scheme().match_flag()) {
     throw std::invalid_argument(
         "apks+: rejecting partial (untransformed) index at ingest — the "
         "ciphertext does not decrypt under the blinded basis, which is the "

@@ -87,13 +87,11 @@ class ApksPlusBackend : public ApksBackend {
 
   // Installs the admission canary: an all-wildcard capability issued on
   // the blinded basis (Apks::gen_cap under the APKS+ master key for a
-  // query of QueryTerm::any() in every dimension). Prepared once here.
+  // query of QueryTerm::any() in every dimension). Preprocessed once here
+  // into scalar traces: ingest checks one record at a time, and on the
+  // scalar and AVX2 engines Hpe::decrypt_pre beats a lane pass of one.
   void set_ingest_canary(const Capability& canary) {
-    canary_ = scheme().prepare(canary);
-    has_canary_ = true;
-  }
-  [[nodiscard]] bool has_ingest_canary() const noexcept {
-    return has_canary_;
+    canary_ = scheme().hpe().preprocess_key(canary.key);
   }
 
   [[nodiscard]] AnyIndex ingest_transform(AnyIndex index) const override;
@@ -101,8 +99,7 @@ class ApksPlusBackend : public ApksBackend {
 
  private:
   std::function<EncryptedIndex(const EncryptedIndex&)> ingest_stage_;
-  PreparedCapability canary_;
-  bool has_canary_ = false;
+  std::vector<PreprocessedPairing> canary_;
 };
 
 // The all-wildcard query whose capability serves as the APKS+ ingest

@@ -2,84 +2,82 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 namespace apks {
 
 BlockMultiPairing::BlockMultiPairing(const Pairing& pairing,
-                                     std::vector<PreprocessedPairing> pres,
+                                     std::span<const PreprocessedPairing> pres,
                                      SimdLevel level)
     : e_(&pairing),
-      pres_(std::move(pres)),
+      dim_(pres.size()),
       engine_(make_fp_lane_engine(pairing.fp(), level)) {
-  std::size_t lines = 0;
-  for (std::size_t s = 0; s < pres_.size(); ++s) {
-    const std::size_t c = pres_[s].line_count();
+  for (std::size_t s = 0; s < pres.size(); ++s) {
+    const std::size_t c = pres[s].line_count();
     if (c == 0) continue;  // P at infinity: slot contributes 1
-    if (lines == 0) {
-      lines = c;
-    } else if (lines != c) {
+    if (steps_ == 0) {
+      steps_ = c;
+    } else if (steps_ != c) {
       // Cannot happen for traces of one Pairing (the structure depends only
       // on the group order), but fail loudly rather than walk out of bounds.
       throw std::logic_error("BlockMultiPairing: mismatched trace lengths");
     }
     active_.push_back(s);
   }
-  lane_lines_.reserve(active_.size());
-  for (const std::size_t s : active_) {
-    std::vector<LaneLine> tab;
-    tab.reserve(pres_[s].line_count());
-    for (const NormLine& l : pres_[s].lines()) {
-      LaneLine ll;
-      ll.one = l.one;
-      if (!l.one) {
-        engine_->to_scalar(ll.a, l.A);
-        engine_->to_scalar(ll.b, l.B);
+  lines_.resize(steps_ * active_.size());
+  for (std::size_t a = 0; a < active_.size(); ++a) {
+    const std::span<const NormLine> trace = pres[active_[a]].lines();
+    for (std::size_t idx = 0; idx < steps_; ++idx) {
+      LaneLine& ll = lines_[idx * active_.size() + a];
+      ll.one = trace[idx].one;
+      if (!ll.one) {
+        engine_->to_scalar(ll.a, trace[idx].A);
+        engine_->to_scalar(ll.b, trace[idx].B);
       }
-      tab.push_back(ll);
     }
-    lane_lines_.push_back(std::move(tab));
   }
   engine_->to_scalar(one_s_, e_->fp().one());
   engine_->to_scalar(zero_s_, e_->fp().zero());
 }
 
 BlockMultiPairing::BlockMultiPairing(const Pairing& pairing,
-                                     std::vector<PreprocessedPairing> pres)
-    : BlockMultiPairing(pairing, std::move(pres), simd_level()) {}
+                                     std::span<const PreprocessedPairing> pres)
+    : BlockMultiPairing(pairing, pres, simd_level()) {}
 
 void BlockMultiPairing::run(const AffinePoint* const* qvecs, std::size_t n,
                             GtEl* out) const {
   const std::size_t w = engine_->width();
-  for (std::size_t start = 0; start < n; start += w) {
-    const std::size_t chunk = std::min(w, n - start);
-    bool exceptional = active_.empty();
-    for (std::size_t r = 0; r < chunk && !exceptional; ++r) {
-      for (const std::size_t s : active_) {
-        if (qvecs[start + r][s].inf) {
-          exceptional = true;
-          break;
-        }
-      }
+  std::vector<std::size_t> every(active_.size());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  const auto finite = [&](std::size_t r) {
+    return std::none_of(active_.begin(), active_.end(),
+                        [&](std::size_t s) { return qvecs[r][s].inf; });
+  };
+  std::vector<std::size_t> own;
+  for (std::size_t r = 0; r < n;) {
+    std::size_t end = r;
+    while (end < n && end - r < w && finite(end)) ++end;
+    if (end > r) {
+      run_lanes(qvecs + r, end - r, out + r, every);
+      r = end;
+      continue;
     }
-    if (exceptional) {
-      run_scalar(qvecs + start, chunk, out + start);
-    } else {
-      run_lanes(qvecs + start, chunk, out + start);
+    // A record point at infinity contributes the factor 1, as in
+    // multi_miller_pre: the record takes a pass of its own that folds only
+    // its finite slots.
+    own.clear();
+    for (std::size_t a = 0; a < active_.size(); ++a) {
+      if (!qvecs[r][active_[a]].inf) own.push_back(a);
     }
-  }
-}
-
-void BlockMultiPairing::run_scalar(const AffinePoint* const* qvecs,
-                                   std::size_t n, GtEl* out) const {
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = e_->final_exp(e_->multi_miller_pre(
-        pres_, std::span<const AffinePoint>(qvecs[r], pres_.size())));
+    run_lanes(qvecs + r, 1, out + r, own);
+    ++r;
   }
 }
 
 void BlockMultiPairing::run_lanes(const AffinePoint* const* qvecs,
-                                  std::size_t n, GtEl* out) const {
+                                  std::size_t n, GtEl* out,
+                                  std::span<const std::size_t> live) const {
   const FpLaneEngine& eng = *engine_;
   const std::size_t w = eng.width();
   const std::size_t na = active_.size();
@@ -89,7 +87,7 @@ void BlockMultiPairing::run_lanes(const AffinePoint* const* qvecs,
   // record so every lane carries valid (nonzero) field values throughout.
   std::vector<LaneFp> tx(w), ty(w);
   std::vector<FpLaneVec> qx(na), qy(na);
-  for (std::size_t a = 0; a < na; ++a) {
+  for (const std::size_t a : live) {
     const std::size_t s = active_[a];
     for (std::size_t l = 0; l < w; ++l) {
       const AffinePoint& pt = qvecs[std::min(l, n - 1)][s];
@@ -141,21 +139,17 @@ void BlockMultiPairing::run_lanes(const AffinePoint* const* qvecs,
   };
   const FqInt& order = e_->curve().params().q;
   const std::size_t bits = order.bit_length();
+  const auto fold_step = [&](std::size_t idx) {
+    const LaneLine* step = lines_.data() + idx * na;
+    for (const std::size_t a : live) {
+      if (!step[a].one) fold(a, step[a]);
+    }
+  };
   std::size_t idx = 0;
   for (std::size_t i = bits - 1; i-- > 0;) {
     f2_sqr(fa, fb, fa, fb);
-    for (std::size_t a = 0; a < na; ++a) {
-      const LaneLine& l = lane_lines_[a][idx];
-      if (!l.one) fold(a, l);
-    }
-    ++idx;
-    if (order.bit(i)) {
-      for (std::size_t a = 0; a < na; ++a) {
-        const LaneLine& l = lane_lines_[a][idx];
-        if (!l.one) fold(a, l);
-      }
-      ++idx;
-    }
+    fold_step(idx++);
+    if (order.bit(i)) fold_step(idx++);
   }
 
   // Blocked final exponentiation. z^{p-1} = conj(z)^2 * norm(z)^{-1}; the
@@ -228,7 +222,7 @@ void BlockMultiPairing::run_lanes(const AffinePoint* const* qvecs,
 
   // Engine-invariant cost attribution: dim miller probes + one multi_miller
   // + one final_exp per record, exactly as the scalar path counts.
-  e_->note_block_ops(n * pres_.size(), n, n);
+  e_->note_block_ops(n * dim_, n, n);
 }
 
 }  // namespace apks

@@ -1,9 +1,10 @@
 // Lane-parallel multi-pairing scan kernel.
 //
 // A BlockMultiPairing is the server-side compiled form of a prepared
-// capability: the batch-normalized Miller line tables of its fixed first
-// arguments, converted once into the lane engine's internal domain
-// (FpLaneScalar), plus the engine itself. `run` drives a block of records —
+// capability and its only form: the batch-normalized Miller line tables of
+// its fixed first arguments, converted once into the lane engine's
+// internal domain (FpLaneScalar), plus the engine itself. The scalar
+// traces it is built from are not kept. `run` drives a block of records —
 // each an (n+3)-point ciphertext vector — through one shared Miller loop
 // with every F_p operation executed across all lanes (records) at once,
 // then finishes with a blocked final exponentiation whose norm inversions
@@ -11,7 +12,8 @@
 //
 // Output contract: canonical Montgomery residues are unique, so the GT
 // value per record is byte-identical to the scalar path
-// final_exp(multi_miller_pre(...)) on every engine.
+// final_exp(multi_miller_pre(...)) on every engine, records holding a
+// point at infinity included.
 //
 // Counters stay engine-invariant: each record costs dim() `miller` probes,
 // one `multi_miller`, one `final_exp`, exactly as the scalar path counts.
@@ -28,18 +30,27 @@ namespace apks {
 
 class BlockMultiPairing {
  public:
-  // Takes ownership of the preprocessed slots (slot i pairs with point i of
-  // each record vector). `level` pins the lane engine; the default follows
-  // the process-wide simd_level().
-  BlockMultiPairing(const Pairing& pairing,
-                    std::vector<PreprocessedPairing> pres, SimdLevel level);
-  BlockMultiPairing(const Pairing& pairing,
-                    std::vector<PreprocessedPairing> pres);
+  // One Miller step of one slot in the engine domain: the normalized line
+  // A * x_Q + B + y_Q * i, or the factor 1.
+  struct LaneLine {
+    FpLaneScalar a;
+    FpLaneScalar b;
+    bool one = false;
+  };
 
-  [[nodiscard]] std::size_t dim() const noexcept { return pres_.size(); }
-  [[nodiscard]] std::span<const PreprocessedPairing> pres() const noexcept {
-    return pres_;
-  }
+  // Compiles the preprocessed slots (slot i pairs with point i of each
+  // record vector); the traces are only read. `level` pins the lane
+  // engine; the default follows the process-wide simd_level().
+  BlockMultiPairing(const Pairing& pairing,
+                    std::span<const PreprocessedPairing> pres,
+                    SimdLevel level);
+  BlockMultiPairing(const Pairing& pairing,
+                    std::span<const PreprocessedPairing> pres);
+
+  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  // Miller steps per non-empty slot (0 when every fixed point is at
+  // infinity); the kernel holds one LaneLine per step and such slot.
+  [[nodiscard]] std::size_t line_count() const noexcept { return steps_; }
   [[nodiscard]] const Pairing& pairing() const noexcept { return *e_; }
   [[nodiscard]] const char* engine_name() const noexcept {
     return engine_->name();
@@ -59,25 +70,20 @@ class BlockMultiPairing {
   void run(const AffinePoint* const* qvecs, std::size_t n, GtEl* out) const;
 
  private:
-  struct LaneLine {
-    FpLaneScalar a;
-    FpLaneScalar b;
-    bool one = false;
-  };
-
-  // Scalar-path fallback for chunks containing an infinity record point.
-  void run_scalar(const AffinePoint* const* qvecs, std::size_t n,
-                  GtEl* out) const;
-  void run_lanes(const AffinePoint* const* qvecs, std::size_t n,
-                 GtEl* out) const;
+  // One lane pass over n <= lane_width() records, folding only the slots
+  // listed in `live` (indices into active_).
+  void run_lanes(const AffinePoint* const* qvecs, std::size_t n, GtEl* out,
+                 std::span<const std::size_t> live) const;
 
   const Pairing* e_;
-  std::vector<PreprocessedPairing> pres_;
+  std::size_t dim_ = 0;
+  std::size_t steps_ = 0;
   std::unique_ptr<FpLaneEngine> engine_;
   // Slots with a non-empty trace (the others contribute the factor 1).
   std::vector<std::size_t> active_;
-  // active_.size() x line_count lane-domain line tables, slot-major.
-  std::vector<std::vector<LaneLine>> lane_lines_;
+  // steps_ x active_.size() lane-domain lines, step-major: the lines one
+  // Miller step folds sit side by side.
+  std::vector<LaneLine> lines_;
   FpLaneScalar one_s_{};   // engine-domain 1 (Montgomery R)
   FpLaneScalar zero_s_{};  // engine-domain 0
 };

@@ -151,8 +151,7 @@ class PairingBlockTest : public MultiPairingTest {
 TEST_F(PairingBlockTest, KernelMatchesScalarReference) {
   auto f = make_fixture(/*dim=*/5, /*records=*/11);
   const auto expect = scalar_reference(f);
-  auto pres_copy = f.pres;  // kernel takes ownership
-  const BlockMultiPairing kernel(e_, std::move(pres_copy));
+  const BlockMultiPairing kernel(e_, f.pres);
   std::vector<GtEl> out(f.qvecs.size());
   kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
   for (std::size_t r = 0; r < out.size(); ++r) {
@@ -163,15 +162,12 @@ TEST_F(PairingBlockTest, KernelMatchesScalarReference) {
 
 TEST_F(PairingBlockTest, ScalarAndSimdKernelsBitIdentical) {
   auto f = make_fixture(/*dim=*/4, /*records=*/9);
-  auto pres_a = f.pres;
-  const BlockMultiPairing scalar_kernel(e_, std::move(pres_a),
-                                        SimdLevel::kScalar);
+  const BlockMultiPairing scalar_kernel(e_, f.pres, SimdLevel::kScalar);
   std::vector<GtEl> base(f.qvecs.size());
   scalar_kernel.run(f.qvecs.data(), f.qvecs.size(), base.data());
   for (const SimdLevel lvl : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (simd_level_detected() < lvl) continue;
-    auto pres_b = f.pres;
-    const BlockMultiPairing kernel(e_, std::move(pres_b), lvl);
+    const BlockMultiPairing kernel(e_, f.pres, lvl);
     if (kernel.engine_level() != lvl) continue;  // built without ISA support
     std::vector<GtEl> out(f.qvecs.size());
     kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
@@ -187,8 +183,7 @@ TEST_F(PairingBlockTest, InfinityRecordsFallBackCorrectly) {
   f.qrows[1][2] = AffinePoint::infinity();  // poisons record 1's chunk
   f.qrows[4][0] = AffinePoint::infinity();
   const auto expect = scalar_reference(f);
-  auto pres_copy = f.pres;
-  const BlockMultiPairing kernel(e_, std::move(pres_copy));
+  const BlockMultiPairing kernel(e_, f.pres);
   std::vector<GtEl> out(f.qvecs.size());
   kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
   for (std::size_t r = 0; r < out.size(); ++r) {
@@ -200,8 +195,7 @@ TEST_F(PairingBlockTest, InfinityPSlotIsInert) {
   auto f = make_fixture(/*dim=*/3, /*records=*/5);
   f.pres[1] = e_.preprocess(AffinePoint::infinity());
   const auto expect = scalar_reference(f);
-  auto pres_copy = f.pres;
-  const BlockMultiPairing kernel(e_, std::move(pres_copy));
+  const BlockMultiPairing kernel(e_, f.pres);
   std::vector<GtEl> out(f.qvecs.size());
   kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
   for (std::size_t r = 0; r < out.size(); ++r) {
@@ -209,11 +203,69 @@ TEST_F(PairingBlockTest, InfinityPSlotIsInert) {
   }
 }
 
+// Poisoned records run as passes of their own and their neighbours fill
+// partial passes, on every engine: poison first and last in a lane chunk,
+// two poisoned records in a row, a record that is all infinity and an
+// infinity Q over an infinity P.
+TEST_F(PairingBlockTest, InfinityRecordsBitIdenticalOnEveryEngine) {
+  auto f = make_fixture(/*dim=*/4, /*records=*/19);
+  f.pres[3] = e_.preprocess(AffinePoint::infinity());
+  f.qrows[0][1] = AffinePoint::infinity();
+  f.qrows[7][0] = AffinePoint::infinity();
+  f.qrows[8][2] = AffinePoint::infinity();
+  f.qrows[8][3] = AffinePoint::infinity();
+  for (auto& q : f.qrows[13]) q = AffinePoint::infinity();
+  f.qrows[18][1] = AffinePoint::infinity();
+  const auto expect = scalar_reference(f);
+  EXPECT_TRUE(e_.gt_is_one(expect[13]));
+  for (const SimdLevel lvl :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (simd_level_detected() < lvl) continue;
+    const BlockMultiPairing kernel(e_, f.pres, lvl);
+    if (kernel.engine_level() != lvl) continue;  // built without ISA support
+    std::vector<GtEl> out(f.qvecs.size());
+    const auto c0 = e_.op_counts();
+    kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
+    const auto d = e_.op_counts() - c0;
+    EXPECT_EQ(d.miller, f.qvecs.size() * f.pres.size());
+    EXPECT_EQ(d.multi_miller, f.qvecs.size());
+    EXPECT_EQ(d.final_exp, f.qvecs.size());
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      EXPECT_EQ(out[r], expect[r]) << "record " << r << " via "
+                                   << kernel.engine_name();
+    }
+  }
+}
+
+TEST_F(PairingBlockTest, BlocksOfOneMatchScalarReference) {
+  auto f = make_fixture(/*dim=*/3, /*records=*/3);
+  f.qrows[2][0] = AffinePoint::infinity();
+  const auto expect = scalar_reference(f);
+  const BlockMultiPairing kernel(e_, f.pres);
+  EXPECT_EQ(kernel.dim(), 3u);
+  EXPECT_EQ(kernel.line_count(), f.pres[0].line_count());
+  for (std::size_t r = 0; r < f.qvecs.size(); ++r) {
+    GtEl out{};
+    kernel.run(&f.qvecs[r], 1, &out);
+    EXPECT_EQ(out, expect[r]) << "record " << r << " via "
+                              << kernel.engine_name();
+  }
+}
+
+TEST_F(PairingBlockTest, EveryPAtInfinityGivesOne) {
+  auto f = make_fixture(/*dim=*/2, /*records=*/3);
+  for (auto& pre : f.pres) pre = e_.preprocess(AffinePoint::infinity());
+  const BlockMultiPairing kernel(e_, f.pres);
+  EXPECT_EQ(kernel.dim(), 2u);
+  EXPECT_EQ(kernel.line_count(), 0u);
+  std::vector<GtEl> out(f.qvecs.size());
+  kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
+  for (const GtEl& v : out) EXPECT_TRUE(e_.gt_is_one(v));
+}
+
 TEST_F(PairingBlockTest, CountsAreEngineInvariant) {
   auto f = make_fixture(/*dim=*/4, /*records=*/10);
-  auto pres_a = f.pres;
-  const BlockMultiPairing scalar_kernel(e_, std::move(pres_a),
-                                        SimdLevel::kScalar);
+  const BlockMultiPairing scalar_kernel(e_, f.pres, SimdLevel::kScalar);
   auto c0 = e_.op_counts();
   std::vector<GtEl> out(f.qvecs.size());
   scalar_kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
@@ -222,8 +274,7 @@ TEST_F(PairingBlockTest, CountsAreEngineInvariant) {
   EXPECT_EQ(scalar_d.multi_miller, f.qvecs.size());
   EXPECT_EQ(scalar_d.final_exp, f.qvecs.size());
 
-  auto pres_b = f.pres;
-  const BlockMultiPairing kernel(e_, std::move(pres_b));
+  const BlockMultiPairing kernel(e_, f.pres);
   c0 = e_.op_counts();
   kernel.run(f.qvecs.data(), f.qvecs.size(), out.data());
   const auto simd_d = e_.op_counts() - c0;

@@ -561,12 +561,21 @@ int cmd_search(const Runtime& rt, const Args& a) {
   }
   const AnyQuery query = load_query_file(rt, a.cap);
   const AnyPrepared prepared = rt.backend->prepare(query);
-  std::size_t hits = 0;
+  // Every index in one match_block call, so the records fill lane passes.
+  std::vector<AnyIndex> indexes;
+  indexes.reserve(a.positional.size());
   for (const auto& path : a.positional) {
-    const AnyIndex index = load_index_file(rt, path);
-    const bool match = rt.backend->match(prepared, index);
-    hits += match ? 1 : 0;
-    std::printf("%s: %s\n", path.c_str(), match ? "MATCH" : "no match");
+    indexes.push_back(load_index_file(rt, path));
+  }
+  std::vector<const AnyIndex*> block;
+  for (const AnyIndex& index : indexes) block.push_back(&index);
+  const auto match = std::make_unique<bool[]>(block.size());
+  rt.backend->match_block(prepared, block.data(), block.size(), match.get());
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    if (match[i]) ++hits;
+    std::printf("%s: %s\n", a.positional[i].c_str(),
+                match[i] ? "MATCH" : "no match");
   }
   std::printf("%zu / %zu matched\n", hits, a.positional.size());
   return 0;

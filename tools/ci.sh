@@ -6,8 +6,9 @@
 # backend type-erasure), a UBSan pairing stage that runs the
 # multi-pairing/SIMD-kernel, batched point-decode, IBS verification and
 # serving-decoder (backend_test) tests (the verify runs a preprocessed
-# multi-pairing over window tables) with the lane engines forced on and
-# off (APKS_FORCE_SCALAR), and a
+# multi-pairing over window tables), the one-record prepared search
+# (apks_test) and the prepared-capability heap budget with the lane
+# engines forced on and off (APKS_FORCE_SCALAR), and a
 # serving stage for the network layer (TSan server+client loopback tests,
 # the ASan hostile-frame sweep, and the serving load-generator smoke
 # artifact),
@@ -231,13 +232,15 @@ if [[ $STAGE == all || $STAGE == ubsan ]]; then
   done
 fi
 if [[ $STAGE == all || $STAGE == pairing ]]; then
-  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, batched point decode, IBS verify and serving decode (forced on/off) ==="
+  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, prepared search and its heap budget, batched point decode, IBS verify and serving decode (forced on/off) ==="
   configure build-ubsan -DAPKS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target pairing_test \
-    multi_pairing_test curve_test serialize_test fuzz_test ibs_test \
-    authority_test backend_test bench_pairing
-  for t in pairing_test multi_pairing_test curve_test serialize_test \
-      fuzz_test ibs_test authority_test backend_test; do
+    multi_pairing_test apks_test memory_budget_test curve_test \
+    serialize_test fuzz_test ibs_test authority_test backend_test \
+    bench_pairing
+  for t in pairing_test multi_pairing_test apks_test memory_budget_test \
+      curve_test serialize_test fuzz_test ibs_test authority_test \
+      backend_test; do
     echo "--- $t (UBSan, SIMD auto) ---"
     ./build-ubsan/tests/"$t"
     echo "--- $t (UBSan, APKS_FORCE_SCALAR=1) ---"
