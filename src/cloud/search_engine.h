@@ -154,7 +154,7 @@ class SearchEngine {
     std::size_t block_records = 8;
     // LRU capacity of the prepared-query cache; 0 disables caching (every
     // lookup is then a counted miss). An entry is one compiled scan
-    // kernel: ~0.5 MiB for a nursery_schema(1) capability (13 slots x 239
+    // kernel: ~450 KiB for a nursery_schema(1) capability (13 slots x 218
     // lane-domain lines; ~0.9 MiB while the scalar traces were kept too).
     std::size_t cache_capacity = 64;
     // Default per-batch deadline (0 = none); a ServeControl with a nonzero

@@ -86,6 +86,46 @@ class ScalarLanes final : public FpLaneEngine {
 
 }  // namespace
 
+void lane_fp2_mul(const FpLaneEngine& eng, FpLaneVec& ra, FpLaneVec& rb,
+                  const FpLaneVec& xa, const FpLaneVec& xb,
+                  const FpLaneVec& ya, const FpLaneVec& yb, FpLaneVec t[4]) {
+  eng.mul(t[0], xa, ya);  // ac
+  eng.mul(t[1], xb, yb);  // bd
+  eng.add(t[2], xa, xb);
+  eng.add(t[3], ya, yb);
+  eng.mul(t[2], t[2], t[3]);  // cross
+  eng.add(t[3], t[0], t[1]);  // ac + bd
+  eng.sub(ra, t[0], t[1]);
+  eng.sub(rb, t[2], t[3]);
+}
+
+void lane_fp2_sqr(const FpLaneEngine& eng, FpLaneVec& ra, FpLaneVec& rb,
+                  const FpLaneVec& xa, const FpLaneVec& xb, FpLaneVec t[2]) {
+  eng.add(t[0], xa, xb);
+  eng.sub(t[1], xa, xb);
+  eng.mul(t[0], t[0], t[1]);  // (a+b)(a-b)
+  eng.mul(t[1], xa, xb);      // ab
+  ra = t[0];
+  eng.add(rb, t[1], t[1]);
+}
+
+void FpLaneEngine::miller_step(FpLaneVec& fa, FpLaneVec& fb, bool square,
+                               MillerStepLines step, const FpLaneVec* qx,
+                               const FpLaneVec* qy,
+                               std::span<const std::size_t> live) const {
+  FpLaneVec t[4], s, va;
+  if (square) lane_fp2_sqr(*this, fa, fb, fa, fb, t);
+  for (const std::size_t a : live) {
+    if (step.one[a] != 0) continue;
+    // line value at phi(Q): (A * x_Q + B) + y_Q * i, one lane mul
+    broadcast(s, step.line[a].a);
+    mul(va, s, qx[a]);
+    broadcast(s, step.line[a].b);
+    add(va, va, s);
+    lane_fp2_mul(*this, fa, fb, fa, fb, va, qy[a], t);
+  }
+}
+
 void batch_sqrt(const FpLaneEngine& eng, const LaneField& field,
                 std::span<const LaneFp> a, std::span<LaneFp> out,
                 std::span<bool> ok) {

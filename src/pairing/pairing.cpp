@@ -33,10 +33,36 @@ std::vector<std::int8_t> recode_signed4(const FpInt& e) {
   return digits;
 }
 
+// Non-adjacent form: e = sum_i d_i * 2^i with d_i in {-1, 0, 1}, no two
+// adjacent digits nonzero. A run of ones 0111 becomes 100(-1).
+std::vector<std::int8_t> recode_naf(const FqInt& e) {
+  const std::size_t bits = e.bit_length();
+  const auto bit = [&](std::size_t i) { return i < bits && e.bit(i); };
+  std::vector<std::int8_t> digits;
+  digits.reserve(bits + 1);
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < bits || carry != 0; ++i) {
+    const unsigned c = (bit(i) ? 1u : 0u) + carry;  // 0, 1 or 2
+    if (c == 1) {
+      // e mod 4 = 3 (a run of ones continues) -> -1 and carry; else +1.
+      const bool run = bit(i + 1);
+      digits.push_back(static_cast<std::int8_t>(run ? -1 : 1));
+      carry = run ? 1 : 0;
+    } else {
+      digits.push_back(0);
+      carry = c / 2;
+    }
+  }
+  return digits;
+}
+
 }  // namespace
 
 Pairing::Pairing(const TypeAParams& params)
-    : curve_(params), fp2_(curve_.fp()), h_digits_(recode_signed4(params.h)) {
+    : curve_(params),
+      fp2_(curve_.fp()),
+      h_digits_(recode_signed4(params.h)),
+      miller_digits_(recode_naf(params.q)) {
   gt_gen_ = pair(curve_.generator(), curve_.generator());
   if (fp2_.is_one(gt_gen_)) {
     throw std::logic_error("Pairing: degenerate generator pairing");
@@ -152,15 +178,15 @@ Fp2El Pairing::miller(const AffinePoint& p, const AffinePoint& q) const {
   if (p.inf || q.inf) return fp2_.one();
   Fp2El f = fp2_.one();
   JacPoint t = curve_.to_jac(p);
-  const FqInt& order = curve_.params().q;
-  const std::size_t bits = order.bit_length();
+  const AffinePoint np = curve_.neg(p);
+  const std::span<const std::int8_t> naf = miller_digits_;
   LineCoeffs line;
-  for (std::size_t i = bits - 1; i-- > 0;) {
+  for (std::size_t i = naf.size() - 1; i-- > 0;) {
     f = fp2_.sqr(f);
     t = dbl_step(t, line);
     if (!line.one) f = fp2_.mul(f, eval_line(line, q));
-    if (order.bit(i)) {
-      t = add_step(t, p, line);
+    if (naf[i] != 0) {
+      t = add_step(t, naf[i] > 0 ? p : np, line);
       if (!line.one) f = fp2_.mul(f, eval_line(line, q));
     }
   }
@@ -173,27 +199,29 @@ Fp2El Pairing::multi_miller(std::span<const MillerPair> pairs) const {
   // Active slots: infinity on either side contributes the factor 1.
   std::vector<std::size_t> act;
   std::vector<JacPoint> t;
+  std::vector<AffinePoint> np;
   act.reserve(pairs.size());
   t.reserve(pairs.size());
+  np.reserve(pairs.size());
   for (std::size_t s = 0; s < pairs.size(); ++s) {
     if (!pairs[s].p.inf && !pairs[s].q.inf) {
       act.push_back(s);
       t.push_back(curve_.to_jac(pairs[s].p));
+      np.push_back(curve_.neg(pairs[s].p));
     }
   }
   Fp2El f = fp2_.one();
   if (act.empty()) return f;
-  const FqInt& order = curve_.params().q;
-  const std::size_t bits = order.bit_length();
+  const std::span<const std::int8_t> naf = miller_digits_;
   LineCoeffs line;
-  for (std::size_t i = bits - 1; i-- > 0;) {
-    f = fp2_.sqr(f);  // one shared squaring per bit, whatever the slot count
+  for (std::size_t i = naf.size() - 1; i-- > 0;) {
+    f = fp2_.sqr(f);  // one shared squaring per digit, whatever the slots
     for (std::size_t j = 0; j < act.size(); ++j) {
       const MillerPair& mp = pairs[act[j]];
       t[j] = dbl_step(t[j], line);
       if (!line.one) f = fp2_.mul(f, eval_line(line, mp.q));
-      if (order.bit(i)) {
-        t[j] = add_step(t[j], mp.p, line);
+      if (naf[i] != 0) {
+        t[j] = add_step(t[j], naf[i] > 0 ? mp.p : np[j], line);
         if (!line.one) f = fp2_.mul(f, eval_line(line, mp.q));
       }
     }
@@ -214,29 +242,22 @@ Fp2El Pairing::multi_miller_pre(std::span<const PreprocessedPairing> pres,
   Fp2El f = fp2_.one();
   if (act.empty()) return f;
   const FpField& fp = curve_.fp();
-  const FqInt& order = curve_.params().q;
-  const std::size_t bits = order.bit_length();
+  const std::span<const std::int8_t> naf = miller_digits_;
   // Every non-empty trace has the same step structure (it depends only on
-  // the bits of q), so one index walks all of them.
-  std::size_t idx = 0;
-  for (std::size_t i = bits - 1; i-- > 0;) {
-    f = fp2_.sqr(f);
+  // the digits of q), so one index walks all of them.
+  const auto fold = [&](std::size_t idx) {
     for (const std::size_t s : act) {
-      const NormLine& dbl = pres[s].lines()[idx];
-      if (!dbl.one) {
-        f = fp2_.mul(f, {fp.add(fp.mul(dbl.A, qs[s].x), dbl.B), qs[s].y});
+      const NormLine& l = pres[s].lines()[idx];
+      if (!l.one) {
+        f = fp2_.mul(f, {fp.add(fp.mul(l.A, qs[s].x), l.B), qs[s].y});
       }
     }
-    ++idx;
-    if (order.bit(i)) {
-      for (const std::size_t s : act) {
-        const NormLine& add = pres[s].lines()[idx];
-        if (!add.one) {
-          f = fp2_.mul(f, {fp.add(fp.mul(add.A, qs[s].x), add.B), qs[s].y});
-        }
-      }
-      ++idx;
-    }
+  };
+  std::size_t idx = 0;
+  for (std::size_t i = naf.size() - 1; i-- > 0;) {
+    f = fp2_.sqr(f);
+    fold(idx++);
+    if (naf[i] != 0) fold(idx++);
   }
   return f;
 }
@@ -246,17 +267,17 @@ PreprocessedPairing Pairing::preprocess(const AffinePoint& p) const {
   if (p.inf) {
     return PreprocessedPairing(*this, std::move(lines));
   }
-  const FqInt& order = curve_.params().q;
-  const std::size_t bits = order.bit_length();
+  const std::span<const std::int8_t> naf = miller_digits_;
   std::vector<LineCoeffs> raw;
-  raw.reserve(2 * bits);
+  raw.reserve(2 * naf.size());
   JacPoint t = curve_.to_jac(p);
+  const AffinePoint np = curve_.neg(p);
   LineCoeffs line;
-  for (std::size_t i = bits - 1; i-- > 0;) {
+  for (std::size_t i = naf.size() - 1; i-- > 0;) {
     t = dbl_step(t, line);
     raw.push_back(line);
-    if (order.bit(i)) {
-      t = add_step(t, p, line);
+    if (naf[i] != 0) {
+      t = add_step(t, naf[i] > 0 ? p : np, line);
       raw.push_back(line);
     }
   }
@@ -294,22 +315,16 @@ Fp2El PreprocessedPairing::miller_with(const AffinePoint& q) const {
   const Fp2& fp2 = parent_->fp2_;
   if (lines_.empty() || q.inf) return fp2.one();
   const FpField& fp = parent_->curve_.fp();
-  const FqInt& order = parent_->curve_.params().q;
-  const std::size_t bits = order.bit_length();
+  const std::span<const std::int8_t> naf = parent_->miller_digits_;
   Fp2El f = fp2.one();
+  const auto fold = [&](const NormLine& l) {
+    if (!l.one) f = fp2.mul(f, {fp.add(fp.mul(l.A, q.x), l.B), q.y});
+  };
   std::size_t idx = 0;
-  for (std::size_t i = bits - 1; i-- > 0;) {
+  for (std::size_t i = naf.size() - 1; i-- > 0;) {
     f = fp2.sqr(f);
-    const NormLine& dbl = lines_[idx++];
-    if (!dbl.one) {
-      f = fp2.mul(f, {fp.add(fp.mul(dbl.A, q.x), dbl.B), q.y});
-    }
-    if (order.bit(i)) {
-      const NormLine& add = lines_[idx++];
-      if (!add.one) {
-        f = fp2.mul(f, {fp.add(fp.mul(add.A, q.x), add.B), q.y});
-      }
-    }
+    fold(lines_[idx++]);
+    if (naf[i] != 0) fold(lines_[idx++]);
   }
   return f;
 }

@@ -5,7 +5,10 @@
 // Tate pairing and phi(x, y) = (-x, i y) is the distortion map. The Miller
 // loop runs in Jacobian coordinates with denominator elimination (vertical
 // lines evaluate into F_p and die in the final exponentiation
-// z -> z^{(p^2-1)/q} = (z^{p-1})^h).
+// z -> z^{(p^2-1)/q} = (z^{p-1})^h). Every Miller loop walks the signed
+// digits (NAF) of q, adding -P at a -1 digit: the extra vertical through P
+// that a -1 digit brings is an F_p factor too, so the reduced pairing is
+// the one the binary loop computes, with fewer lines.
 //
 // PreprocessedPairing caches the Miller-loop line coefficients of a fixed
 // first argument, roughly halving per-pairing cost — the "with
@@ -167,7 +170,7 @@ class Pairing {
   // Multi-pairing over preprocessed first arguments. pres[i] pairs with
   // qs[i]; slots with an empty trace (P at infinity) or q at infinity
   // contribute 1. All non-empty traces share one step structure (it depends
-  // only on the group order), so a single index walks them in lockstep.
+  // only on miller_digits()), so a single index walks them in lockstep.
   [[nodiscard]] Fp2El multi_miller_pre(
       std::span<const PreprocessedPairing> pres,
       std::span<const AffinePoint> qs) const;
@@ -183,6 +186,14 @@ class Pairing {
   // Signed 4-bit digits of h, least-significant first, each in [-8, 8].
   [[nodiscard]] std::span<const std::int8_t> h_digits() const noexcept {
     return h_digits_;
+  }
+
+  // The Miller-loop schedule: the non-adjacent form of q, least-significant
+  // first, digits in {-1, 0, 1} with no two adjacent nonzero and a top digit
+  // of 1. Each digit below the top is one step: a doubling line, then an
+  // addition line of +P or -P when the digit is nonzero.
+  [[nodiscard]] std::span<const std::int8_t> miller_digits() const noexcept {
+    return miller_digits_;
   }
 
   // Counter hook for external kernels (the SIMD block scan) that perform
@@ -212,6 +223,8 @@ class Pairing {
   GtEl gt_gen_;
   // Signed 4-bit digits of h = (p+1)/q, least-significant first.
   std::vector<std::int8_t> h_digits_;
+  // NAF of q, least-significant first (see miller_digits()).
+  std::vector<std::int8_t> miller_digits_;
 
   mutable std::atomic<std::uint64_t> miller_count_{0};
   mutable std::atomic<std::uint64_t> multi_miller_count_{0};
@@ -235,7 +248,7 @@ class PreprocessedPairing {
   }
 
   // Flattened step list: each Miller iteration contributes its doubling line
-  // and, when the scalar bit is set, the addition line, in order. Empty when
+  // and, when its digit is nonzero, the addition line, in order. Empty when
   // the fixed P is the point at infinity.
   [[nodiscard]] std::span<const NormLine> lines() const noexcept {
     return lines_;

@@ -6,9 +6,10 @@
 // internal domain (FpLaneScalar), plus the engine itself. The scalar
 // traces it is built from are not kept. `run` drives a block of records —
 // each an (n+3)-point ciphertext vector — through one shared Miller loop
-// with every F_p operation executed across all lanes (records) at once,
-// then finishes with a blocked final exponentiation whose norm inversions
-// share a single batch_inv.
+// with every F_p operation executed across all lanes (records) at once
+// (one FpLaneEngine::miller_step per line of the digit schedule), then
+// finishes with a blocked final exponentiation whose norm inversions share
+// a single batch_inv.
 //
 // Output contract: canonical Montgomery residues are unique, so the GT
 // value per record is byte-identical to the scalar path
@@ -30,14 +31,6 @@ namespace apks {
 
 class BlockMultiPairing {
  public:
-  // One Miller step of one slot in the engine domain: the normalized line
-  // A * x_Q + B + y_Q * i, or the factor 1.
-  struct LaneLine {
-    FpLaneScalar a;
-    FpLaneScalar b;
-    bool one = false;
-  };
-
   // Compiles the preprocessed slots (slot i pairs with point i of each
   // record vector); the traces are only read. `level` pins the lane
   // engine; the default follows the process-wide simd_level().
@@ -48,8 +41,9 @@ class BlockMultiPairing {
                     std::span<const PreprocessedPairing> pres);
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  // Miller steps per non-empty slot (0 when every fixed point is at
-  // infinity); the kernel holds one LaneLine per step and such slot.
+  // Miller lines per non-empty slot (0 when every fixed point is at
+  // infinity); the kernel holds one LaneLine and one flag byte per line and
+  // such slot.
   [[nodiscard]] std::size_t line_count() const noexcept { return steps_; }
   [[nodiscard]] const Pairing& pairing() const noexcept { return *e_; }
   [[nodiscard]] const char* engine_name() const noexcept {
@@ -82,8 +76,10 @@ class BlockMultiPairing {
   // Slots with a non-empty trace (the others contribute the factor 1).
   std::vector<std::size_t> active_;
   // steps_ x active_.size() lane-domain lines, step-major: the lines one
-  // Miller step folds sit side by side.
+  // Miller step folds sit side by side. one_[i] flags lines_[i] as the
+  // factor 1.
   std::vector<LaneLine> lines_;
+  std::vector<std::uint8_t> one_;
   FpLaneScalar one_s_{};   // engine-domain 1 (Montgomery R)
   FpLaneScalar zero_s_{};  // engine-domain 0
 };

@@ -3,9 +3,9 @@
 // Engines cache prepared capabilities (64 per engine, one cache per
 // cluster node), so their size is most of a server's memory. A prepared
 // capability is its compiled lane kernel and nothing else: one LaneLine
-// per Miller step of each of the n+3 slots. A second copy of the line
-// tables (the scalar traces the kernel is compiled from) would double the
-// figure and fail this test.
+// and one flag byte per Miller line of each of the n+3 slots. A second
+// copy of the line tables (the scalar traces the kernel is compiled from)
+// would double the figure and fail this test.
 #include <gtest/gtest.h>
 
 #include "core/apks.h"
@@ -47,7 +47,11 @@ TEST(MemoryBudgetTest, PreparedCapabilityHoldsOnlyTheLaneTables) {
     ASSERT_EQ(trace.line_count(), kernel.line_count());
   }
   const auto tables = static_cast<std::int64_t>(
-      kernel.dim() * kernel.line_count() * sizeof(BlockMultiPairing::LaneLine));
+      kernel.dim() * kernel.line_count() * (sizeof(LaneLine) + 1));
+  // 13 slots x 218 lines (the NAF schedule of q) x (160 B of LaneLine + a
+  // one-flag byte).
+  EXPECT_EQ(kernel.line_count(), 218u);
+  EXPECT_EQ(tables, 13 * 218 * (160 + 1));
   // The lower bound shows the counter sees the tables at all.
   EXPECT_GE(held, tables);
   EXPECT_LE(held, tables + kFixedSlack)

@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <numeric>
+#include <string>
 #include <vector>
 
+#include "common/hex.h"
 #include "math/fp_lanes.h"
 #include "pairing/pairing.h"
 #include "pairing/pairing_block.h"
@@ -281,6 +284,78 @@ TEST_F(PairingBlockTest, CountsAreEngineInvariant) {
   EXPECT_EQ(simd_d, scalar_d) << "via " << kernel.engine_name();
 }
 
+// --- The Miller schedule and GT known answers ---------------------------
+
+TEST_F(MultiPairingTest, MillerDigitsAreTheNafOfQ) {
+  const std::span<const std::int8_t> naf = e_.miller_digits();
+  ASSERT_FALSE(naf.empty());
+  EXPECT_EQ(naf.back(), 1);
+  FqInt pos, neg;
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < naf.size(); ++i) {
+    ASSERT_GE(naf[i], -1);
+    ASSERT_LE(naf[i], 1);
+    if (naf[i] == 0) continue;
+    ++nonzero;
+    if (i + 1 < naf.size()) {
+      EXPECT_EQ(naf[i + 1], 0) << "adjacent nonzero digits at " << i;
+    }
+    (naf[i] > 0 ? pos : neg).set_bit(i);
+  }
+  EXPECT_EQ(pos - neg, e_.curve().params().q);
+  // q has 81 one-bits and 59 nonzero NAF digits over 161 positions: 160
+  // doubling lines and 58 addition lines, against 239 for the binary loop.
+  EXPECT_EQ(nonzero, 59u);
+  EXPECT_EQ(naf.size(), 161u);
+  EXPECT_EQ(e_.preprocess(e_.curve().random_point(rng_)).line_count(), 218u);
+  EXPECT_EQ(e_.preprocess(AffinePoint::infinity()).line_count(), 0u);
+}
+
+std::string gt_hex(const Pairing& e, const GtEl& v) {
+  std::array<std::uint8_t, Pairing::kGtCompressedSize> buf{};
+  e.gt_serialize(v, buf);
+  return hex_encode(buf);
+}
+
+// Values serialized by the binary (bit-by-bit) Miller loop this schedule
+// replaced: the reduced pairing must not move by one byte.
+constexpr const char* kEggHex =
+    "036e86b514340dd57771700560b7c4533dadf0f9f03a5c5ecf6e211b9546be6eb4"
+    "899a3746dcae19c6f291c25294851c7172f69983820018e70cbb0f74d5ff3050";
+constexpr const char* kMulti13Hex =
+    "026d27368a0bac9902ec7329ce55d4e05a67a971f2f1da7e6317139e001f04bce0"
+    "32912b329b3b0b56865834c031dd2236489f88820c2cffe37ec7edecf1931a7a";
+
+TEST_F(PairingBlockTest, GtKnownAnswersHoldOnEveryPath) {
+  EXPECT_EQ(gt_hex(e_, e_.gt_generator()), kEggHex);
+  const AffinePoint& g = e_.curve().generator();
+  EXPECT_EQ(gt_hex(e_, e_.pair(g, g)), kEggHex);
+  EXPECT_EQ(gt_hex(e_, e_.preprocess(g).pair_with(g)), kEggHex);
+
+  ChaChaRng rng("gt-known-answer");
+  std::vector<PreprocessedPairing> pres;
+  std::vector<MillerPair> pairs(13);
+  std::vector<AffinePoint> qs(13);
+  for (std::size_t s = 0; s < 13; ++s) {
+    pairs[s].p = e_.curve().random_point(rng);
+    pres.push_back(e_.preprocess(pairs[s].p));
+    qs[s] = pairs[s].q = e_.curve().random_point(rng);
+  }
+  EXPECT_EQ(gt_hex(e_, e_.final_exp(e_.multi_miller_pre(pres, qs))),
+            kMulti13Hex);
+  EXPECT_EQ(gt_hex(e_, e_.final_exp(e_.multi_miller(pairs))), kMulti13Hex);
+  const AffinePoint* qvec = qs.data();
+  for (const SimdLevel lvl :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (simd_level_detected() < lvl) continue;
+    const BlockMultiPairing kernel(e_, pres, lvl);
+    if (kernel.engine_level() != lvl) continue;  // built without ISA support
+    GtEl out{};
+    kernel.run(&qvec, 1, &out);
+    EXPECT_EQ(gt_hex(e_, out), kMulti13Hex) << kernel.engine_name();
+  }
+}
+
 // --- FpLaneEngine: cross-engine bit-identity -----------------------------
 
 class FpLanesTest : public ::testing::Test {
@@ -409,6 +484,137 @@ TEST_F(FpLanesTest, BroadcastMatchesLoad) {
     eng->store(r.data(), vr, w);
     for (std::size_t l = 0; l < w; ++l) {
       EXPECT_EQ(r[l], field_.mul(v, m[l])) << eng->name();
+    }
+  }
+}
+
+// One miller_step input: per-lane values of f and of each slot's Q, the
+// slot lines, their one-flags, the live slots and the loaded lane count.
+struct StepCase {
+  static constexpr std::size_t kSlots = 3;
+  std::array<LaneFp, kMaxLaneWidth> fa{}, fb{};
+  std::array<std::array<LaneFp, kMaxLaneWidth>, kSlots> qx{}, qy{};
+  std::array<LaneFp, kSlots> la{}, lb{};
+  std::array<std::uint8_t, kSlots> one{};
+  std::vector<std::size_t> live;
+  bool square = true;
+  std::size_t lanes = kMaxLaneWidth;
+};
+
+// Runs the case on `eng` (fused when `fused`, else the base-class op
+// sequence) and returns f's lanes and those of -f: fa, fb, -fa, -fb.
+std::vector<LaneFp> run_step(const FpLaneEngine& eng, const StepCase& c,
+                             bool fused) {
+  const std::size_t n = std::min(c.lanes, eng.width());
+  FpLaneVec fa, fb;
+  std::array<FpLaneVec, StepCase::kSlots> qx, qy;
+  std::array<LaneLine, StepCase::kSlots> lines{};
+  eng.load(fa, c.fa.data(), n);
+  eng.load(fb, c.fb.data(), n);
+  for (std::size_t a = 0; a < StepCase::kSlots; ++a) {
+    eng.load(qx[a], c.qx[a].data(), n);
+    eng.load(qy[a], c.qy[a].data(), n);
+    eng.to_scalar(lines[a].a, c.la[a]);
+    eng.to_scalar(lines[a].b, c.lb[a]);
+  }
+  const MillerStepLines step{lines.data(), c.one.data()};
+  if (fused) {
+    eng.miller_step(fa, fb, c.square, step, qx.data(), qy.data(), c.live);
+  } else {
+    eng.FpLaneEngine::miller_step(fa, fb, c.square, step, qx.data(),
+                                  qy.data(), c.live);
+  }
+  // Negation reads its input as canonical (a wider value wraps), so f's
+  // negatives show a non-canonical result even though store() reduces.
+  FpLaneVec zero, na, nb;
+  eng.load(zero, nullptr, 0);
+  eng.sub(na, zero, fa);
+  eng.sub(nb, zero, fb);
+  std::vector<LaneFp> out(4 * n);
+  eng.store(out.data(), fa, n);
+  eng.store(out.data() + n, fb, n);
+  eng.store(out.data() + 2 * n, na, n);
+  eng.store(out.data() + 3 * n, nb, n);
+  return out;
+}
+
+// The fused Miller step of every engine against the op-by-op base-class
+// sequence and against the scalar engine. Besides random values, every lane
+// of fa, fb, qx, qy and the line coefficients takes 0, 1 and p - 1, both as
+// Montgomery inputs and as the values that land on 1 and p - 1 in the
+// AVX-512 engine's shifted domain: the extremes of its lazy bounds.
+TEST_F(FpLanesTest, MillerStepBitIdenticalToBaseSequenceOnEveryEngine) {
+  const LaneFp p = field_.modulus();
+  LaneFp raw_one = LaneFp::zero();
+  raw_one.w[0] = 1;
+  const LaneFp p_minus_1 = p - raw_one;
+  // w = v * 2^8 mod p in the AVX-512 domain: v = 2^-8 lands on 1.
+  const LaneFp shift_one = field_.to_int(field_.inv(field_.from_u64(256)));
+  const std::vector<LaneFp> extremes = {
+      field_.zero(), raw_one,   field_.one(), p_minus_1, shift_one,
+      p - shift_one, p - field_.one()};
+
+  std::vector<StepCase> cases;
+  const auto fill = [&](const auto& pick) {
+    StepCase c;
+    for (std::size_t l = 0; l < kMaxLaneWidth; ++l) {
+      c.fa[l] = pick();
+      c.fb[l] = pick();
+      for (std::size_t a = 0; a < StepCase::kSlots; ++a) {
+        c.qx[a][l] = pick();
+        c.qy[a][l] = pick();
+      }
+    }
+    for (std::size_t a = 0; a < StepCase::kSlots; ++a) {
+      c.la[a] = pick();
+      c.lb[a] = pick();
+    }
+    c.live = {0, 1, 2};
+    return c;
+  };
+  const auto random_pick = [&] { return field_.random(rng_); };
+  const auto extreme_pick = [&] {
+    return extremes[rng_.next_below(extremes.size())];
+  };
+  // One extreme everywhere, squaring on and off.
+  for (const LaneFp& x : extremes) {
+    for (const bool square : {true, false}) {
+      StepCase c = fill([&] { return x; });
+      c.square = square;
+      cases.push_back(c);
+    }
+  }
+  // Extremes and random values mixed per lane, with one-lines, live
+  // subsets (the empty set included) and partial lane passes.
+  for (int round = 0; round < 120; ++round) {
+    StepCase c = round % 2 == 0 ? fill(extreme_pick) : fill([&] {
+      return rng_.next_below(3) == 0 ? extreme_pick() : random_pick();
+    });
+    c.square = rng_.next_below(2) == 0;
+    for (auto& f : c.one) f = rng_.next_below(4) == 0 ? 1 : 0;
+    if (round % 5 == 1) c.live = {2, 0};
+    if (round % 7 == 3) c.live.clear();
+    if (round % 3 == 2) c.lanes = 1 + rng_.next_below(kMaxLaneWidth - 1);
+    cases.push_back(c);
+  }
+
+  const auto scalar = make_fp_lane_engine(field_, SimdLevel::kScalar);
+  for (const SimdLevel lvl :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (simd_level_detected() < lvl) continue;
+    const auto eng = make_fp_lane_engine(field_, lvl);
+    if (eng->level() != lvl) continue;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::vector<LaneFp> base = run_step(*eng, cases[i], false);
+      const std::vector<LaneFp> fused = run_step(*eng, cases[i], true);
+      StepCase narrow = cases[i];
+      narrow.lanes = std::min(narrow.lanes, eng->width());
+      EXPECT_EQ(fused, base) << eng->name() << " case " << i;
+      EXPECT_EQ(fused, run_step(*scalar, narrow, false))
+          << eng->name() << " case " << i;
+      for (const LaneFp& v : fused) {
+        EXPECT_LT(v, p) << eng->name() << " case " << i << " not canonical";
+      }
     }
   }
 }

@@ -8,7 +8,8 @@
 # serving-decoder (backend_test) tests (the verify runs a preprocessed
 # multi-pairing over window tables), the one-record prepared search
 # (apks_test) and the prepared-capability heap budget with the lane
-# engines forced on and off (APKS_FORCE_SCALAR), and a
+# engines forced on and off (APKS_FORCE_SCALAR) and the scan-kernel tests
+# once more on the AVX2 engine (APKS_SIMD=avx2), and a
 # serving stage for the network layer (TSan server+client loopback tests,
 # the ASan hostile-frame sweep, and the serving load-generator smoke
 # artifact),
@@ -232,7 +233,7 @@ if [[ $STAGE == all || $STAGE == ubsan ]]; then
   done
 fi
 if [[ $STAGE == all || $STAGE == pairing ]]; then
-  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, prepared search and its heap budget, batched point decode, IBS verify and serving decode (forced on/off) ==="
+  echo "=== pairing: UBSan multi-pairing, SIMD lane engines, prepared search and its heap budget, batched point decode, IBS verify and serving decode (forced on/off, AVX2) ==="
   configure build-ubsan -DAPKS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" --target pairing_test \
     multi_pairing_test apks_test memory_budget_test curve_test \
@@ -245,6 +246,12 @@ if [[ $STAGE == all || $STAGE == pairing ]]; then
     ./build-ubsan/tests/"$t"
     echo "--- $t (UBSan, APKS_FORCE_SCALAR=1) ---"
     APKS_FORCE_SCALAR=1 ./build-ubsan/tests/"$t"
+  done
+  # The scan kernel under the AVX2 engine: on an AVX-512 host this is the
+  # run that serves the base-class miller_step (auto picks the fused one).
+  for t in multi_pairing_test apks_test memory_budget_test; do
+    echo "--- $t (UBSan, APKS_SIMD=avx2) ---"
+    APKS_SIMD=avx2 ./build-ubsan/tests/"$t"
   done
   ./build-ubsan/bench/bench_pairing --smoke >/dev/null
 fi
